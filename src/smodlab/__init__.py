@@ -12,7 +12,7 @@ from .linmaps import (DualBasis, LinMap, Matrix, apply, compose, dual_and_eta,
                       identity, is_morphism, lolli_obj, matrix_of, tensor_obj,
                       validate_basis)
 from .models import (CoherenceSpace, FinitenessSpace, GlueObject, ProbCohSpace,
-                     F_embed, F_invert, F_map, G_embed, H_embed, H_map,
+                     F_embed, F_invert, F_map, H_embed, H_map,
                      coherence_lolli, coherence_space, fin_dual,
                      glue_is_morphism, glue_tight_closure, pcoh_bipolar_member,
                      pcoh_dual, pcoh_gamma_and_basis, pcoh_space, wrel_compose)

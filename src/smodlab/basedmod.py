@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import (INF, OMEGA, RPOS, UNDEF, CarrierError, Semiring,
-                      format_scalar)
+from .scalars import OMEGA, UNDEF, CarrierError, Semiring, format_scalar
 from . import ratlp
 
 #: verdict for searches that hit their bound
@@ -60,6 +59,27 @@ class Web:
 
 def web(*atoms) -> Web:
     return Web(tuple(atoms))
+
+
+def pair_atom(a, b) -> str:
+    """The atom `(a,b)` of a pair web (tensor, function space, comult)."""
+    return f"({a},{b})"
+
+
+def split_pair(atom: str):
+    """Inverse of `pair_atom`: (a, b), split at the top-level comma, or None."""
+    if not (atom.startswith("(") and atom.endswith(")")):
+        return None
+    body = atom[1:-1]
+    depth = 0
+    for i, ch in enumerate(body):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return body[:i], body[i + 1:]
+    return None
 
 
 @dataclass(frozen=True)
@@ -214,7 +234,8 @@ class PolytopeP(Presentation):
             for con in self.constraints)
 
     def coord_sum(self, module, fam):
-        return RPOS.sum_family(fam)  # bound enforced by membership, not per-coordinate
+        # bound enforced by membership, not per-coordinate
+        return module.semiring.ambient.sum_family(fam)
 
     def __repr__(self):
         if self.generators is not None:
@@ -407,10 +428,9 @@ def scalar_action(m: BasedModule, r, v: Vector) -> Vector:
     m.require(v)
     if r == 0:
         return m.zero()
-    if isinstance(m.presentation, PolytopeP):
-        out = vec(m.web, {a: Fraction(r) * x for a, x in v.entries})
-    else:
-        out = vec(m.web, {a: m.semiring.mul(r, x) for a, x in v.entries})
+    # coordinates live in the ambient carrier (a polytope's may exceed 1)
+    mul = m.semiring.ambient.mul
+    out = vec(m.web, {a: mul(r, x) for a, x in v.entries})
     if not m.admits(out):
         raise IntegrityError(
             f"action of {format_scalar(r)} left the carrier: {out!r} -- "
@@ -550,9 +570,8 @@ def preorder_leq_vec(m: BasedModule, x: Vector, y: Vector):
     """x <= y iff some admitted z has x + z = y.  True / False / UNKNOWN."""
     m.require(x)
     m.require(y)
-    s = m.semiring
-    if s.kind in ("unit", "rpos", "nat") or isinstance(m.presentation, PolytopeP):
-        # cancellative coordinates: the only candidate witness is y - x
+    if m.semiring.is_cancellative:
+        # the only candidate witness is y - x
         coords = {}
         for a in m.web.atoms:
             d = y.value(a) - x.value(a)

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import UNDEF, Semiring
-from .basedmod import (BasedModule, CoherenceP, FreeP, PolytopeP,
-                       Presentation, Vector, Web, vec, vec_sum, zero_vector)
+from .scalars import UNDEF
+from .basedmod import (BasedModule, CoherenceP, IntegrityError, Presentation,
+                       Vector, Web, pair_atom, vec, vec_sum, zero_vector)
 from .linmaps import (DualBasis, LinMap, Matrix, apply, free_module,
-                      functional, scalar_of, semiring_module, tensor_obj,
-                      unit_basis, _mul_for, _polytope_generators,
-                      _polytope_like, _rational)
+                      gamma_basis, scalar_of, semiring_module, tensor_obj,
+                      unit_basis, _polytope_generators, _polytope_like)
 from . import ratlp
 
 
@@ -140,11 +139,8 @@ class IdealGamma:
     basis_kind: str       # full-unit | interval | zero
 
 
-def _orbit_vector(T: BasedModule, tb: DualBasis, index_of, basis: DualBasis,
-                  xi: MultisetIndex, s: Semiring):
-    """Coordinates of e_ξ = Σ_{s◁ξ} e_s in the tensor power, as a family of
-    pure-tensor basis vectors (for discrete carriers) and an ambient-sum
-    vector (for rational ones)."""
+def _orbit_vector(tb: DualBasis, index_of, xi: MultisetIndex):
+    """The pure-tensor basis vectors e_s, s◁ξ, whose sum is e_ξ."""
     pos = {a: i for i, a in enumerate(xi.atoms)}
     members = []
     for seq in xi.sequences():
@@ -153,28 +149,41 @@ def _orbit_vector(T: BasedModule, tb: DualBasis, index_of, basis: DualBasis,
     return members
 
 
+def _orbit_coords(s, members) -> dict:
+    """Coordinates of e_ξ = Σ_{s◁ξ} e_s, summed in the ambient arithmetic."""
+    coords = {}
+    for m in members:
+        for a, x in m.entries:
+            got = s.ambient_sum((coords[a], x)) if a in coords else x
+            if got is UNDEF:
+                raise IntegrityError(f"orbit sum undefined at coordinate {a}")
+            coords[a] = got
+    return coords
+
+
+def _cached_power(V: BasedModule, basis: DualBasis, n: int, power_cache):
+    if power_cache is not None and n in power_cache:
+        return power_cache[n]
+    got = _tensor_power(V, basis, n)
+    if power_cache is not None:
+        power_cache[n] = got
+    return got
+
+
 def ideal_gamma(V: BasedModule, basis: DualBasis, xi: MultisetIndex,
                 _power_cache=None) -> IdealGamma:
     """R_ξ = { r | Σ_{s◁ξ} r·e_s defined }, reported by its supremum."""
     s = V.semiring
-    n = xi.degree
-    if _power_cache is not None and n in _power_cache:
-        T, tb, index_of = _power_cache[n]
-    else:
-        T, tb, index_of = _tensor_power(V, basis, n)
-        if _power_cache is not None:
-            _power_cache[n] = (T, tb, index_of)
-    members = _orbit_vector(T, tb, index_of, basis, xi, s)
-    if _rational(s):
-        coords = {}
-        for m in members:
-            for a, x in m.entries:
-                coords[a] = coords.get(a, Fraction(0)) + Fraction(x)
-        w = tuple(coords.get(a, Fraction(0)) for a in T.web.atoms)
+    T, tb, index_of = _cached_power(V, basis, xi.degree, _power_cache)
+    members = _orbit_vector(tb, index_of, xi)
+    if _polytope_like(T):
+        # membership is convex: the supremum is an exact LP optimum
+        coords = _orbit_coords(s, members)
+        w = tuple(coords.get(a, 0) for a in T.web.atoms)
         if all(x == 0 for x in w):
             return IdealGamma(xi, s.one, "full-unit")
         t = ratlp.max_scale(_polytope_generators(T), w)
-        sup = s.one if t is None else min(Fraction(t), Fraction(1))
+        sup = s.one if t is None else min(Fraction(t), s.one)
         kind = ("zero" if sup == 0
                 else "full-unit" if sup == s.one else "interval")
         return IdealGamma(xi, sup, kind)
@@ -199,14 +208,7 @@ class SymGradedP(Presentation):
 
     layers: tuple   # ((degree, tensor module, ((label, coords-tuple), ...)), ...)
 
-    def check_semiring(self, s):
-        pass
-
-    def coordinate_values(self, s):
-        return s.carrier_elements() if s.is_enumerable else None
-
     def admits(self, module, v):
-        mul = _mul_for(module.semiring)
         s = module.semiring
         for degree, T, table in self.layers:
             coords = {}
@@ -215,15 +217,11 @@ class SymGradedP(Presentation):
                 if r == 0:
                     continue
                 for a, x in e_coords:
-                    if _rational(s):
-                        coords[a] = coords.get(a, Fraction(0)) + mul(r, x)
-                    else:
-                        fam = ((coords[a], 1), (mul(r, x), 1)) if a in coords \
-                            else ((mul(r, x), 1),)
-                        got = s.sum_family(fam)
-                        if got is UNDEF:
-                            return False
-                        coords[a] = got
+                    t = s.ambient_mul(r, x)
+                    got = s.ambient_sum((coords[a], t) if a in coords else (t,))
+                    if got is UNDEF:
+                        return False
+                    coords[a] = got
             try:
                 w = vec(T.web, {a: x for a, x in coords.items() if x != 0})
             except Exception:
@@ -264,29 +262,14 @@ class SymGradedP(Presentation):
 
 def _sym_layer(V: BasedModule, basis: DualBasis, n: int, power_cache):
     """Admissible multisets of degree n plus the layer data for SymGradedP."""
-    s = V.semiring
-    if n in power_cache:
-        T, tb, index_of = power_cache[n]
-    else:
-        T, tb, index_of = _tensor_power(V, basis, n)
-        power_cache[n] = (T, tb, index_of)
+    T, tb, index_of = _cached_power(V, basis, n, power_cache)
     admissible = []
     table = []
     for xi in multisets_of_degree(V.web.atoms, n):
         gamma = ideal_gamma(V, basis, xi, power_cache)
         if gamma.sup == 0 and gamma.basis_kind == "zero":
             continue
-        members = _orbit_vector(T, tb, index_of, basis, xi, s)
-        coords = {}
-        for m in members:
-            for a, x in m.entries:
-                if _rational(s):
-                    coords[a] = coords.get(a, Fraction(0)) + Fraction(x)
-                else:
-                    got = s.sum_family(((coords[a], 1), (x, 1))) \
-                        if a in coords else x
-                    assert got is not UNDEF
-                    coords[a] = got
+        coords = _orbit_coords(V.semiring, _orbit_vector(tb, index_of, xi))
         admissible.append((xi, gamma))
         table.append((xi.label, tuple((a, x) for a, x in coords.items()
                                       if x != 0)))
@@ -300,19 +283,11 @@ def sym_power(V: BasedModule, basis: DualBasis, n: int,
         raise ExponentialError(f"degree {n} exceeds the bound {bound}")
     if not basis.orthogonal:
         raise ExponentialError("sym_power needs an orthogonal base basis")
-    s = V.semiring
-    cache = {}
-    T, admissible, table = _sym_layer(V, basis, n, cache)
+    T, admissible, table = _sym_layer(V, basis, n, {})
     w = Web(tuple(xi.label for xi, _ in admissible))
-    mod = BasedModule(s, w, SymGradedP(((n, T, table),)),
+    mod = BasedModule(V.semiring, w, SymGradedP(((n, T, table),)),
                       f"Sym{n}({V.name or 'V'})")
-    pairs = []
-    for xi, gamma in admissible:
-        g = gamma.sup
-        e = vec(w, {xi.label: g})
-        inv = (Fraction(1) / Fraction(g)) if _rational(s) else s.one
-        pairs.append((e, functional(mod, {xi.label: inv})))
-    return mod, DualBasis(tuple(pairs))
+    return mod, gamma_basis(mod, {xi.label: gamma.sup for xi, gamma in admissible})
 
 
 @dataclass(frozen=True)
@@ -380,26 +355,19 @@ def bang(V: BasedModule, basis: DualBasis, d: int,
 
 def bang_basis(B: TruncatedBang) -> DualBasis:
     """Orthogonal basis (γ_ξ·δ_ξ, x(ξ)/γ_ξ) of the truncated bang."""
-    s = B.base.semiring
-    pairs = []
-    sups = dict(B.gammas)
-    for xi in B.multisets:
-        g = sups[xi.label]
-        e = vec(B.web, {xi.label: g})
-        inv = (Fraction(1) / Fraction(g)) if _rational(s) else s.one
-        pairs.append((e, functional(B.module, {xi.label: inv})))
-    return DualBasis(tuple(pairs))
+    return gamma_basis(B.module, dict(B.gammas))
 
 
 def promote(B: TruncatedBang, x: Vector) -> Vector:
     """!x truncated: coordinate at ξ is ∏_i φ_i(x)^{ξ(i)}."""
     B.base.require(x)
     s = B.base.semiring
-    mul = _mul_for(s)
+    mul = s.ambient_mul
     coeffs = []
     for _, phi in B.basis.pairs:
         got = apply(phi, x)
-        assert got is not UNDEF
+        if got is UNDEF:
+            raise IntegrityError(f"a basis functional is undefined at {x!r}")
         coeffs.append(scalar_of(got))
     pos = {a: i for i, a in enumerate(B.base.web.atoms)}
     coords = {}
@@ -416,23 +384,25 @@ def promote(B: TruncatedBang, x: Vector) -> Vector:
     return out
 
 
-def _split_pair_label(l1: str, l2: str) -> str:
-    return f"({l1},{l2})"
-
-
-def comult(B: TruncatedBang) -> LinMap:
-    """δ: e_ξ ↦ Σ_{ξ₁+ξ₂=ξ} e_{ξ₁} ⊠ e_{ξ₂}; every split has coefficient 1."""
+def _splits(B: TruncatedBang):
+    """The comultiplication table: (ξ, ξ₁, ξ₂) labels with ξ₁+ξ₂ = ξ."""
     labels = {xi.label for xi in B.multisets}
-    pair_atoms = tuple(_split_pair_label(x1.label, x2.label)
-                       for x1 in B.multisets for x2 in B.multisets)
-    dst = free_module(B.base.semiring, Web(pair_atoms), "!V⊠!V")
-    entries = {}
+    out = []
     for x1 in B.multisets:
         for x2 in B.multisets:
             whole = x1.add(x2)
             if whole.label in labels:
-                entries[(whole.label, _split_pair_label(x1.label, x2.label))] \
-                    = B.base.semiring.one
+                out.append((whole.label, x1.label, x2.label))
+    return out
+
+
+def comult(B: TruncatedBang) -> LinMap:
+    """δ: e_ξ ↦ Σ_{ξ₁+ξ₂=ξ} e_{ξ₁} ⊠ e_{ξ₂}; every split has coefficient 1."""
+    pair_atoms = tuple(pair_atom(x1.label, x2.label)
+                       for x1 in B.multisets for x2 in B.multisets)
+    dst = free_module(B.base.semiring, Web(pair_atoms), "!V⊠!V")
+    one = B.base.semiring.one
+    entries = {(xi, pair_atom(x1, x2)): one for xi, x1, x2 in _splits(B)}
     return LinMap(B.module, dst,
                   Matrix.make(B.web, dst.web, entries))
 
@@ -493,13 +463,7 @@ class ComonoidReport:
 
 
 def _delta_dict(B: TruncatedBang, mutate_seed: Optional[int] = None):
-    labels = {xi.label for xi in B.multisets}
-    delta = {}
-    for x1 in B.multisets:
-        for x2 in B.multisets:
-            whole = x1.add(x2)
-            if whole.label in labels:
-                delta[(whole.label, (x1.label, x2.label))] = 1
+    delta = {(xi, (x1, x2)): 1 for xi, x1, x2 in _splits(B)}
     if mutate_seed is not None:
         rng = random.Random(mutate_seed)
         key = rng.choice(sorted(delta, key=repr))
@@ -513,8 +477,7 @@ def check_comonoid(B: TruncatedBang, samples: int = 20, seed: int = 0,
 
     ``mutate_seed`` perturbs one comultiplication entry (negative control).
     """
-    s = B.base.semiring
-    mul = _mul_for(s)
+    mul = B.base.semiring.ambient_mul
     delta = _delta_dict(B, mutate_seed)
     checks = []
 

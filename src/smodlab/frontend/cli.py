@@ -1,6 +1,8 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 property failure, 2 usage error.
+Exit codes: 0 success, 1 property failure, 2 usage error; a library error
+(bad literal, bound exceeded, unsupported construction) prints `error: …`
+and exits 2 rather than escaping as a traceback.
 """
 
 from __future__ import annotations
@@ -8,40 +10,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from ..scalars import SEMIRINGS, axiom_report, format_scalar
-from ..basedmod import Web, vec
+from ..scalars import RPOS, SEMIRINGS, CarrierError, axiom_report, format_scalar
+from ..basedmod import IntegrityError
 from ..linmaps import format_matrix, is_morphism, validate_basis
 from ..models import (BoundExceeded, ModelError, ProbCohSpace, CoherenceSpace,
                       glue_tight_closure, pcoh_bipolar_member, pcoh_dual,
                       pcoh_gamma_and_basis, H_embed, F_embed, coherence_module)
-from ..exponential import bang, check_comonoid, promote as exp_promote
-from .workspace import WorkspaceError, load_workspace
+from ..exponential import (ExponentialError, bang, check_comonoid,
+                           promote as exp_promote)
+from .workspace import WorkspaceError, load_workspace, parse_scalars
 from .interpreter import (InterpretError, interpret_formula,
                           interpret_morphism, parse_vector, _denote_name)
 from .formulas import ParseError, parse_formula
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
-
-
-def _parse_tuple_vector(text: str):
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise InterpretError(f"bad vector tuple {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return ()
-    out = []
-    for part in body.split(","):
-        part = part.strip()
-        if "/" in part:
-            num, den = part.split("/")
-            out.append(Fraction(int(num), int(den)))
-        else:
-            out.append(Fraction(int(part)))
-    return tuple(out)
 
 
 def _emit(args, payload: dict, text_lines):
@@ -117,7 +101,7 @@ def cmd_dual(args) -> int:
 def cmd_bipolar(args) -> int:
     ws = load_workspace(args.workspace)
     sp = _space(ws, args.name, ProbCohSpace)
-    u = _parse_tuple_vector(args.vector)
+    u = parse_scalars(args.vector, RPOS)
     verdict = pcoh_bipolar_member(sp, u)
     _emit(args, {"member": verdict}, ["true" if verdict else "false"])
     return 0
@@ -312,7 +296,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (WorkspaceError, InterpretError, ParseError, ModelError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, ValueError, CarrierError, ExponentialError,
+            IntegrityError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

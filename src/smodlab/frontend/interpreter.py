@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..scalars import Semiring, parse_scalar
 from ..basedmod import (BasedModule, Vector, Web, coproduct_module,
-                        free_module, product_module, vec, zero_module)
-from ..linmaps import (DualBasis, LinMap, Matrix, functional, identity,
-                       is_morphism, lolli_obj, semiring_module, tensor_obj,
-                       unit_basis, verify, _mul_for, _pair_atom)
+                        free_module, pair_atom, product_module, split_pair,
+                        vec, zero_module)
+from ..linmaps import (DualBasis, LinMap, Matrix, functional, gamma_basis,
+                       identity, is_morphism, lolli_obj, semiring_module,
+                       tensor_obj, unit_basis)
 from ..models import (CoherenceSpace, FinitenessSpace, ProbCohSpace, F_embed,
                       H_embed, pcoh_gamma_and_basis, finiteness_module)
 from ..exponential import bang, bang_basis, comult as exp_comult, \
@@ -50,14 +50,6 @@ class Denotation:
     basis: DualBasis
 
 
-def _free_basis(m: BasedModule) -> DualBasis:
-    s = m.semiring
-    pairs = []
-    for a in m.web.atoms:
-        pairs.append((vec(m.web, {a: s.one}), functional(m, {a: s.one})))
-    return DualBasis(tuple(pairs))
-
-
 def _denote_name(ws: Workspace, name: str) -> Denotation:
     if name in ws.formulas:
         return interpret_formula(ws, ws.formulas[name])
@@ -71,10 +63,10 @@ def _denote_name(ws: Workspace, name: str) -> Denotation:
             return Denotation(H_embed(sp), basis)
         if isinstance(sp, FinitenessSpace):
             mod = finiteness_module(sp)
-            return Denotation(mod, _free_basis(mod))
+            return Denotation(mod, gamma_basis(mod))
     if name in ws.modules:
         mod = ws.modules[name]
-        return Denotation(mod, _free_basis(mod))
+        return Denotation(mod, gamma_basis(mod))
     raise InterpretError(f"unbound atom {name!r}")
 
 
@@ -229,12 +221,11 @@ def _combinator(ws: Workspace, head: str, args) -> LinMap:
         g = interpret_morphism(ws, args[1])
         den_src = _tensor_den(ws, f.src, g.src)
         den_dst = _tensor_den(ws, f.dst, g.dst)
-        s = f.src.semiring
-        mul = _mul_for(s)
+        mul = f.src.semiring.ambient_mul
         entries = {}
         for (a, c), v in f.matrix.entries:
             for (b, d), w in g.matrix.entries:
-                entries[(_pair_atom(a, b), _pair_atom(c, d))] = mul(v, w)
+                entries[(pair_atom(a, b), pair_atom(c, d))] = mul(v, w)
         raw = LinMap(den_src.module, den_dst.module,
                      Matrix.make(den_src.module.web, den_dst.module.web, entries))
         return _check(raw, "tensor map")
@@ -327,24 +318,19 @@ def _tensor_den(ws: Workspace, m: BasedModule, n: BasedModule) -> Denotation:
 
 
 def _recover_basis(m: BasedModule) -> DualBasis:
-    from ..basedmod import CoherenceP, PolytopeP
+    from ..basedmod import PolytopeP
     from ..linmaps import _polytope_generators
     if isinstance(m.presentation, PolytopeP):
-        s = m.semiring
-        pairs = []
-        for a in m.web.atoms:
-            idx = m.web.atoms.index(a)
-            gamma = max(Fraction(g[idx]) for g in _polytope_generators(m))
-            e = vec(m.web, {a: gamma})
-            pairs.append((e, functional(m, {a: Fraction(1) / gamma})))
-        return DualBasis(tuple(pairs))
-    return _free_basis(m)
+        gens = _polytope_generators(m)
+        return gamma_basis(m, {a: max(g[i] for g in gens)
+                               for i, a in enumerate(m.web.atoms)})
+    return gamma_basis(m)
 
 
 def _unpair_web(w: Web):
     lefts, rights = [], []
     for atom in w.atoms:
-        m = _match_pair(atom)
+        m = split_pair(atom)
         if m is None:
             return None
         l, r = m
@@ -355,22 +341,6 @@ def _unpair_web(w: Web):
     if len(lefts) * len(rights) != len(w.atoms):
         return None
     return tuple(lefts), tuple(rights)
-
-
-def _match_pair(atom: str):
-    """Split "(l,r)" at the top-level comma."""
-    if not (atom.startswith("(") and atom.endswith(")")):
-        return None
-    body = atom[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i], body[i + 1:]
-    return None
 
 
 def _curry(ws: Workspace, f: LinMap, a_atoms, b_atoms) -> LinMap:
@@ -385,8 +355,8 @@ def _curry(ws: Workspace, f: LinMap, a_atoms, b_atoms) -> LinMap:
     lol, _ = lolli_obj(b_mod, f.dst, db, dc)
     entries = {}
     for (ab, c), v in f.matrix.entries:
-        a, b = _match_pair(ab)
-        entries[(a, _pair_atom(b, c))] = v
+        a, b = split_pair(ab)
+        entries[(a, pair_atom(b, c))] = v
     raw = LinMap(a_mod, lol, Matrix.make(a_mod.web, lol.web, entries))
     return _check(raw, "curry")
 
@@ -403,8 +373,8 @@ def _component_module(t: BasedModule, atoms, first: bool, other) -> BasedModule:
         rel = set()
         for x in atoms:
             for y in atoms:
-                pair = (_pair_atom(x, other[0]), _pair_atom(y, other[0])) \
-                    if first else (_pair_atom(other[0], x), _pair_atom(other[0], y))
+                pair = (pair_atom(x, other[0]), pair_atom(y, other[0])) \
+                    if first else (pair_atom(other[0], x), pair_atom(other[0], y))
                 if sp.coherent(*pair):
                     rel.add((x, y))
         return coherence_module(
@@ -416,10 +386,10 @@ def _component_module(t: BasedModule, atoms, first: bool, other) -> BasedModule:
         for g in _polytope_generators(t):
             coords = dict(zip(t.web.atoms, g))
             if first:
-                sliced = tuple(max(coords[_pair_atom(a, b)] for b in other)
+                sliced = tuple(max(coords[pair_atom(a, b)] for b in other)
                                for a in atoms)
             else:
-                sliced = tuple(max(coords[_pair_atom(b, a)] for b in other)
+                sliced = tuple(max(coords[pair_atom(b, a)] for b in other)
                                for a in atoms)
             gens.add(sliced)
         from .. import ratlp
@@ -438,7 +408,7 @@ def _eval_map(ws: Workspace, l: Denotation, r: Denotation) -> LinMap:
     entries = {}
     for a in l.module.web.atoms:
         for b in r.module.web.atoms:
-            atom = _pair_atom(_pair_atom(a, b), a)
+            atom = pair_atom(pair_atom(a, b), a)
             entries[(atom, b)] = s.one
     raw = LinMap(src_mod, r.module,
                  Matrix.make(src_mod.web, r.module.web, entries))

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from ..scalars import SEMIRINGS, Semiring
+from ..scalars import NINF, RPOS, SEMIRINGS, CarrierError, Semiring, parse_scalar
 from ..basedmod import BasedModule, Web, free_module
 from ..linmaps import Matrix, parse_matrix
 from ..models import (CoherenceSpace, FinitenessSpace, GlueObject,
@@ -93,14 +92,12 @@ def _parse_tuple(text: str):
     return tuple(parts)
 
 
-def _parse_rational(text: str):
-    if text == "inf":
-        from ..scalars import INF
-        return INF
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def parse_scalars(text: str, s: Semiring) -> tuple:
+    """A tuple literal `(x, y, ...)` of scalars of the carrier of `s`."""
+    try:
+        return tuple(parse_scalar(x, s) for x in _parse_tuple(text))
+    except (ValueError, CarrierError) as exc:
+        raise WorkspaceError(f"in {text.strip()!r}: {exc}") from None
 
 
 _BLOCK = re.compile(
@@ -145,8 +142,7 @@ def loads_workspace(text: str) -> Workspace:
                     if key == "atoms":
                         atoms = _parse_atoms(value, "atoms")
                     elif key == "gen":
-                        gens.append(tuple(_parse_rational(x)
-                                          for x in _parse_tuple(value)))
+                        gens.append(parse_scalars(value, RPOS))
                     else:
                         raise WorkspaceError(f"unknown field {key!r} in {name}")
                 ws.spaces[name] = pcoh_space(name, atoms, gens)
@@ -157,9 +153,7 @@ def loads_workspace(text: str) -> Workspace:
                     if key == "web":
                         web_atoms = _parse_atoms(value, "web")
                     elif key == "u":
-                        vectors.append(tuple(
-                            int(x) if x != "inf" else _parse_rational(x)
-                            for x in _parse_tuple(value)))
+                        vectors.append(parse_scalars(value, NINF))
                     else:
                         raise WorkspaceError(f"unknown field {key!r} in {name}")
                 ws.glues[name] = GlueDecl(name, Web(web_atoms), tuple(vectors))
@@ -234,7 +228,7 @@ def loads_workspace(text: str) -> Workspace:
         dst_m = ws.module_named(dst)
         try:
             mat = parse_matrix(body, src_m.web, dst_m.web, src_m.semiring)
-        except ValueError as exc:
+        except (ValueError, CarrierError) as exc:
             raise WorkspaceError(f"matrix {name}: {exc}") from exc
         ws.matrices[name] = (mat, src, dst)
     return ws

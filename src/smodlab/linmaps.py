@@ -1,9 +1,9 @@
 """Linear maps as web-indexed matrices between based modules.
 
-Compositions are matrix products under the partial sum of the coefficient
-semiring; for rational carriers the entry arithmetic lives in exact Q>=0
-(the ambient arithmetic), with definedness enforced by membership of the
-results rather than per-entry carrier bounds.
+Compositions are matrix products in the coefficient semiring's ambient
+arithmetic (`Semiring.ambient_mul` / `ambient_sum`): its own partial sum, or
+exact Q>=0 for rational carriers, with definedness enforced by membership of
+the results rather than per-entry carrier bounds.
 """
 
 from __future__ import annotations
@@ -13,16 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import INF, OMEGA, RPOS, UNDEF, Semiring, format_scalar, parse_scalar
-from .basedmod import (BasedModule, CoherenceP, EnumeratedP, FreeP,
-                       FinitenessP, IntegrityError, PolytopeP, ProductP,
-                       Vector, Web, WebMismatch, enumerated_module,
-                       free_module, vec, vec_sum, zero_vector)
+from .scalars import OMEGA, RPOS, UNDEF, Semiring, format_scalar, parse_scalar
+from .basedmod import (BasedModule, CoherenceP, FreeP, FinitenessP,
+                       IntegrityError, PolytopeP, Vector, Web, WebMismatch,
+                       enumerated_module, free_module, pair_atom, vec,
+                       vec_sum)
 from . import ratlp
-
-
-def _rational(s: Semiring) -> bool:
-    return s.kind in ("unit", "rpos")
 
 
 @dataclass(frozen=True)
@@ -37,12 +33,13 @@ class Matrix:
             items = entries
         else:
             items = dict(entries)
+        src_atoms, dst_atoms = set(src_web.atoms), set(dst_web.atoms)
+        for a, b in items:
+            if a not in src_atoms or b not in dst_atoms:
+                raise WebMismatch(f"entry ({a},{b}) outside webs")
         canon = tuple(((a, b), items[(a, b)])
                       for a in src_web.atoms for b in dst_web.atoms
                       if (a, b) in items and items[(a, b)] != 0)
-        for (a, b), _ in canon:
-            if a not in src_web.atoms or b not in dst_web.atoms:
-                raise WebMismatch(f"entry ({a},{b}) outside webs")
         return Matrix(src_web, dst_web, canon)
 
     def entry(self, a, b):
@@ -76,6 +73,7 @@ def format_matrix(mat: Matrix) -> str:
 
 
 def parse_matrix(text: str, src_web: Web, dst_web: Web, s: Semiring) -> Matrix:
+    """Cells are literals of the ambient carrier of `s`."""
     rows = [r.strip() for r in text.split(";")]
     if len(rows) != len(src_web):
         raise ValueError(f"expected {len(src_web)} rows, got {len(rows)}")
@@ -85,14 +83,7 @@ def parse_matrix(text: str, src_web: Web, dst_web: Web, s: Semiring) -> Matrix:
         if len(cells) != len(dst_web):
             raise ValueError(f"row for {a}: expected {len(dst_web)} entries")
         for b, cell in zip(dst_web.atoms, cells):
-            if cell == "inf":
-                entries[(a, b)] = INF
-            elif "/" in cell:
-                num, den = cell.split("/")
-                entries[(a, b)] = Fraction(int(num), int(den))
-            else:
-                value = int(cell)
-                entries[(a, b)] = Fraction(value) if _rational(s) else value
+            entries[(a, b)] = parse_scalar(cell, s.ambient)
     return Matrix.make(src_web, dst_web, entries)
 
 
@@ -129,17 +120,13 @@ def zero_map(src: BasedModule, dst: BasedModule) -> LinMap:
 
 
 def _entry_products(f: LinMap, x: Vector, b):
+    mul = f.src.semiring.ambient_mul
     for (a, bb), m_ab in f.matrix.entries:
         if bb != b:
             continue
         xa = x.value(a)
-        if xa == 0:
-            continue
-        if _rational(f.src.semiring):
-            yield Fraction(m_ab) * Fraction(xa)
-        else:
-            s = f.src.semiring
-            yield s._mul_rule(s, m_ab, xa)
+        if xa != 0:
+            yield mul(m_ab, xa)
 
 
 def apply(f: LinMap, x: Vector):
@@ -151,12 +138,9 @@ def apply(f: LinMap, x: Vector):
         terms = list(_entry_products(f, x, b))
         if not terms:
             continue
-        if _rational(s):
-            got = sum(terms)
-        else:
-            got = s.sum_family((t, 1) for t in terms)
-            if got is UNDEF:
-                return UNDEF
+        got = s.ambient_sum(terms)
+        if got is UNDEF:
+            return UNDEF
         if got != 0:
             coords[b] = got
     out = vec(f.dst.web, coords)
@@ -176,21 +160,14 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
             terms = []
             for b in f.dst.web.atoms:
                 fab, gbc = f.matrix.entry(a, b), g.matrix.entry(b, c)
-                if fab == 0 or gbc == 0:
-                    continue
-                if _rational(s):
-                    terms.append(Fraction(gbc) * Fraction(fab))
-                else:
-                    terms.append(s._mul_rule(s, gbc, fab))
+                if fab != 0 and gbc != 0:
+                    terms.append(s.ambient_mul(gbc, fab))
             if not terms:
                 continue
-            if _rational(s):
-                got = sum(terms)
-            else:
-                got = s.sum_family((t, 1) for t in terms)
-                if got is UNDEF:
-                    raise IntegrityError(
-                        f"composition entry ({a},{c}) has an undefined sum")
+            got = s.ambient_sum(terms)
+            if got is UNDEF:
+                raise IntegrityError(
+                    f"composition entry ({a},{c}) has an undefined sum")
             if got != 0:
                 entries[(a, c)] = got
     return LinMap(f.src, g.dst,
@@ -236,10 +213,11 @@ def _polytope_generators(m: BasedModule):
 
 
 def _polytope_like(m: BasedModule) -> bool:
-    if not _rational(m.semiring):
-        return isinstance(m.presentation, PolytopeP)
-    return (isinstance(m.presentation, (PolytopeP, FreeP))
-            or hasattr(m.presentation, "constraint_rows"))
+    """Membership is a rational polytope: coefficients in Q>=0 and a
+    polytope, free or graded (constraint-row) presentation."""
+    pres = m.presentation
+    return m.semiring.ambient is RPOS and (
+        isinstance(pres, (PolytopeP, FreeP)) or hasattr(pres, "constraint_rows"))
 
 
 def is_morphism(f: LinMap, max_entries: int = 2) -> MorphismReport:
@@ -259,13 +237,13 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> MorphismReport:
         if any(v not in (0, 1) for _, v in f.matrix.entries):
             return MorphismReport(False, "coherence", "non-0/1 entry")
         for (p, q) in itertools.combinations_with_replacement(pairs, 2):
-            if not rel.coherent(_pair_atom(*p), _pair_atom(*q)):
+            if not rel.coherent(pair_atom(*p), pair_atom(*q)):
                 return MorphismReport(False, "coherence",
                                       f"pairs {p} and {q} violate the "
                                       "function-space coherence")
         return MorphismReport(True, "coherence")
 
-    if _polytope_like(src) and _rational(dst.semiring):
+    if _polytope_like(src) and dst.semiring.ambient is RPOS:
         # Rational modules use ambient arithmetic, so additivity and the
         # scalar action hold entry-wise; membership is convex, so checking
         # the generators suffices.
@@ -360,6 +338,16 @@ def functional(m: BasedModule, coeffs, s: Optional[Semiring] = None) -> LinMap:
     return LinMap(m, r_mod, Matrix.make(m.web, r_mod.web, entries))
 
 
+def gamma_basis(m: BasedModule, gammas: Optional[dict] = None) -> DualBasis:
+    """Orthogonal basis (γ_a·δ_a, x(a)/γ_a) over the atoms of `gammas`, in
+    its order; γ_a = 1 at every atom of the web when omitted."""
+    if gammas is None:
+        gammas = dict.fromkeys(m.web.atoms, m.semiring.one)
+    inv = m.semiring.ambient_inv
+    return DualBasis(tuple((vec(m.web, {a: g}), functional(m, {a: inv(g)}))
+                           for a, g in gammas.items()))
+
+
 @dataclass
 class BasisReport:
     valid: bool
@@ -411,8 +399,6 @@ def validate_basis(m: BasedModule, b: DualBasis, samples: int = 40,
                 ortho = False
                 continue
             r = scalar_of(img)
-            if (r == m.semiring.one) != (i == j) and r != (m.semiring.one if i == j else 0):
-                ortho = False
             if r != (m.semiring.one if i == j else m.semiring.zero):
                 ortho = False
     if b.orthogonal and not ortho:
@@ -424,12 +410,8 @@ def validate_basis(m: BasedModule, b: DualBasis, samples: int = 40,
 # tensor / lolli objects
 
 
-def _pair_atom(a, b) -> str:
-    return f"({a},{b})"
-
-
 def pair_web(w1: Web, w2: Web) -> Web:
-    return Web(tuple(_pair_atom(a, b) for a in w1.atoms for b in w2.atoms))
+    return Web(tuple(pair_atom(a, b) for a in w1.atoms for b in w2.atoms))
 
 
 def _outer_vector(w: Web, x: Vector, y: Vector, mul) -> Vector:
@@ -438,14 +420,8 @@ def _outer_vector(w: Web, x: Vector, y: Vector, mul) -> Vector:
         for b, yb in y.entries:
             v = mul(xa, yb)
             if v != 0:
-                coords[_pair_atom(a, b)] = v
+                coords[pair_atom(a, b)] = v
     return vec(w, coords)
-
-
-def _mul_for(s: Semiring):
-    if _rational(s):
-        return lambda a, b: Fraction(a) * Fraction(b)
-    return lambda a, b: s._mul_rule(s, a, b)
 
 
 def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
@@ -460,16 +436,15 @@ def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
         from .models import coherence_tensor, coherence_module
         space = coherence_tensor(mp.space, np_.space, name or "⊗")
         mod = coherence_module(space, w)
-    elif isinstance(mp, FreeP) and isinstance(np_, FreeP) and not _rational(s):
-        mod = BasedModule(s, w, FreeP(), name or "⊗")
-    elif _rational(s) and _polytope_like(m) and _polytope_like(n):
+    elif _polytope_like(m) and _polytope_like(n):
         gens = []
         for g in _polytope_generators(m):
             for h in _polytope_generators(n):
-                gens.append(tuple(Fraction(gi) * Fraction(hj)
-                                  for gi in g for hj in h))
+                gens.append(tuple(s.ambient_mul(gi, hj) for gi in g for hj in h))
         mod = BasedModule(s, w, PolytopeP(generators=tuple(ratlp.prune_dominated(gens))),
                           name or "⊗")
+    elif isinstance(mp, FreeP) and isinstance(np_, FreeP):
+        mod = BasedModule(s, w, FreeP(), name or "⊗")
     elif isinstance(mp, FinitenessP) and isinstance(np_, FinitenessP):
         from .models import FinitenessSpace, finiteness_module
         space = FinitenessSpace(name or "⊗", tuple(w.atoms))
@@ -477,7 +452,7 @@ def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
     else:
         raise NotImplementedError(f"tensor of {mp!r} and {np_!r}")
 
-    mul = _mul_for(s)
+    mul = s.ambient_mul
     pairs = []
     for (e1, p1) in bm.pairs:
         for (e2, p2) in bn.pairs:
@@ -491,13 +466,13 @@ def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
                     qb = p2.matrix.entry(b, "*")
                     if qb == 0:
                         continue
-                    coeffs[_pair_atom(a, b)] = mul(pa, qb)
+                    coeffs[pair_atom(a, b)] = mul(pa, qb)
             pairs.append((e, functional(mod, coeffs, s)))
     return mod, DualBasis(tuple(pairs), orthogonal=bm.orthogonal and bn.orthogonal)
 
 
 def matrix_as_vector(w: Web, mat: Matrix) -> Vector:
-    coords = {_pair_atom(a, b): v for (a, b), v in mat.entries}
+    coords = {pair_atom(a, b): v for (a, b), v in mat.entries}
     return vec(w, coords)
 
 
@@ -505,7 +480,7 @@ def vector_as_matrix(v: Vector, src_web: Web, dst_web: Web) -> Matrix:
     entries = {}
     for a in src_web.atoms:
         for b in dst_web.atoms:
-            x = v.value(_pair_atom(a, b))
+            x = v.value(pair_atom(a, b))
             if x != 0:
                 entries[(a, b)] = x
     return Matrix.make(src_web, dst_web, entries)
@@ -523,14 +498,13 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
         from .models import coherence_lolli, coherence_module
         space = coherence_lolli(mp.space, np_.space, name or "⊸")
         mod = coherence_module(space, w)
-    elif _rational(s) and _polytope_like(m) and _polytope_like(n):
+    elif _polytope_like(m) and _polytope_like(n):
         cons = []
         dual_n = ratlp.prune_dominated(
             ratlp.polar_vertices(_polytope_generators(n), len(n.web)))
         for g in _polytope_generators(m):
             for u in dual_n:
-                cons.append(tuple(Fraction(ga) * Fraction(ub)
-                                  for ga in g for ub in u))
+                cons.append(tuple(s.ambient_mul(ga, ub) for ga in g for ub in u))
         mod = BasedModule(s, w, PolytopeP(constraints=tuple(sorted(set(cons)))),
                           name or "⊸")
     else:
@@ -552,7 +526,7 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
                 vectors.append(matrix_as_vector(w, mat))
         mod = enumerated_module(s, w, vectors, name=name or "⊸")
 
-    mul = _mul_for(s)
+    mul = s.ambient_mul
     pairs = []
     for (e1, p1) in bm.pairs:
         for (e2, p2) in bn.pairs:
@@ -565,7 +539,7 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
                 for b, e2b in e2.entries:
                     v = mul(pa, e2b)
                     if v != 0:
-                        coords[_pair_atom(a, b)] = v
+                        coords[pair_atom(a, b)] = v
             e = vec(w, coords)
             # functional f -> psi'_j(f(e_i))
             coeffs = {}
@@ -576,7 +550,7 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
                         continue
                     v = mul(e1a, qb)
                     if v != 0:
-                        coeffs[_pair_atom(a, b)] = v
+                        coeffs[pair_atom(a, b)] = v
             pairs.append((e, functional(mod, coeffs, s)))
     return mod, DualBasis(tuple(pairs), orthogonal=bm.orthogonal and bn.orthogonal)
 
@@ -633,7 +607,7 @@ def dual_and_eta(m: BasedModule, b: DualBasis) -> DualityReport:
     # eta: coordinate a of m goes to coordinate ((a,*),*) of ddual
     entries = {}
     for a in m.web.atoms:
-        entries[(a, _pair_atom(_pair_atom(a, "*"), "*"))] = s.one
+        entries[(a, pair_atom(pair_atom(a, "*"), "*"))] = s.one
     eta = LinMap(m, ddual, Matrix.make(m.web, ddual.web, entries))
     eta_ok = is_morphism(eta).ok
     inv = LinMap(ddual, m, eta.matrix.transpose())

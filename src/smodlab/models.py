@@ -16,9 +16,8 @@ from .scalars import F as FSEMI
 from .scalars import I as ISEMI
 from .scalars import INF, NINF, UNDEF, UNIT, Semiring
 from .basedmod import (BasedModule, CoherenceP, FinitenessP, PolytopeP,
-                       Vector, Web, WebMismatch, vec)
-from .linmaps import (DualBasis, LinMap, Matrix, MorphismReport, apply,
-                      functional, is_morphism)
+                       Web, WebMismatch, pair_atom)
+from .linmaps import LinMap, Matrix, gamma_basis, is_morphism
 from . import ratlp
 
 
@@ -93,31 +92,27 @@ def coherence_dual(A: CoherenceSpace, name: str = "") -> CoherenceSpace:
     return CoherenceSpace(name or f"{A.name}^", A.atoms, frozenset(rel))
 
 
-def _pair_atom(a, b) -> str:
-    return f"({a},{b})"
-
-
 def coherence_tensor(A: CoherenceSpace, B: CoherenceSpace,
                      name: str = "") -> CoherenceSpace:
-    atoms = tuple(_pair_atom(a, b) for a in A.atoms for b in B.atoms)
+    atoms = tuple(pair_atom(a, b) for a in A.atoms for b in B.atoms)
     rel = set()
     for (a, b) in itertools.product(A.atoms, B.atoms):
         for (a2, b2) in itertools.product(A.atoms, B.atoms):
             if A.coherent(a, a2) and B.coherent(b, b2):
-                rel.add((_pair_atom(a, b), _pair_atom(a2, b2)))
+                rel.add((pair_atom(a, b), pair_atom(a2, b2)))
     return CoherenceSpace(name or f"({A.name}⊗{B.name})", atoms, frozenset(rel))
 
 
 def coherence_lolli(A: CoherenceSpace, B: CoherenceSpace,
                     name: str = "") -> CoherenceSpace:
-    atoms = tuple(_pair_atom(a, b) for a in A.atoms for b in B.atoms)
+    atoms = tuple(pair_atom(a, b) for a in A.atoms for b in B.atoms)
     rel = set()
     for (a, b) in itertools.product(A.atoms, B.atoms):
         for (a2, b2) in itertools.product(A.atoms, B.atoms):
             cond1 = (not A.coherent(a, a2)) or B.coherent(b, b2)
             cond2 = (not B.strictly_incoherent(b, b2)) or A.strictly_incoherent(a, a2)
             if cond1 and cond2:
-                rel.add((_pair_atom(a, b), _pair_atom(a2, b2)))
+                rel.add((pair_atom(a, b), pair_atom(a2, b2)))
     return CoherenceSpace(name or f"({A.name}⊸{B.name})", atoms, frozenset(rel))
 
 
@@ -128,11 +123,7 @@ def coherence_module(space: CoherenceSpace, web: Optional[Web] = None) -> BasedM
 def F_embed(A: CoherenceSpace):
     """The coherence space as an 𝕀-module with its canonical basis."""
     mod = coherence_module(A)
-    pairs = []
-    for a in A.atoms:
-        e = vec(mod.web, {a: 1})
-        pairs.append((e, functional(mod, {a: 1})))
-    return mod, DualBasis(tuple(pairs))
+    return mod, gamma_basis(mod)
 
 
 def F_map(A: CoherenceSpace, B: CoherenceSpace, rel) -> LinMap:
@@ -140,7 +131,7 @@ def F_map(A: CoherenceSpace, B: CoherenceSpace, rel) -> LinMap:
     rel = frozenset(rel)
     lol = coherence_lolli(A, B)
     for p, q in itertools.combinations_with_replacement(sorted(rel), 2):
-        if not lol.coherent(_pair_atom(*p), _pair_atom(*q)):
+        if not lol.coherent(pair_atom(*p), pair_atom(*q)):
             raise ModelError(f"not a clique of A⊸B: pairs {p} and {q} clash")
     src, _ = F_embed(A)
     dst, _ = F_embed(B)
@@ -192,10 +183,6 @@ def fin_dual(supports, web: Web):
 
 def finiteness_module(A: FinitenessSpace, web: Optional[Web] = None) -> BasedModule:
     return BasedModule(FSEMI, web or A.web, FinitenessP(A), A.name)
-
-
-def G_embed(A: FinitenessSpace) -> BasedModule:
-    return finiteness_module(A)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +248,8 @@ def H_embed(P: ProbCohSpace) -> BasedModule:
 
 def pcoh_gamma_and_basis(P: ProbCohSpace):
     """γ_a = max generator coordinate; basis (e_a = γ_a·δ_a, φ_a = x(a)/γ_a)."""
-    mod = H_embed(P)
     gammas = {a: P.gamma(a) for a in P.atoms}
-    pairs = []
-    for a in P.atoms:
-        e = vec(mod.web, {a: gammas[a]})
-        pairs.append((e, functional(mod, {a: Fraction(1) / gammas[a]})))
-    return gammas, DualBasis(tuple(pairs))
+    return gammas, gamma_basis(H_embed(P), gammas)
 
 
 def H_map(P: ProbCohSpace, Q: ProbCohSpace, rows) -> LinMap:
@@ -395,10 +377,12 @@ def wrel_compose(s: Semiring, f: Matrix, g: Matrix) -> Matrix:
     entries = {}
     for a in f.src_web.atoms:
         for c in g.dst_web.atoms:
-            fam = [(s._mul_rule(s, g.entry(b, c), f.entry(a, b)), 1)
-                   for b in f.dst_web.atoms]
-            got = s.sum_family((v, m) for v, m in fam if v != 0)
-            assert got is not UNDEF
+            terms = [s.ambient_mul(g.entry(b, c), f.entry(a, b))
+                     for b in f.dst_web.atoms]
+            got = s.ambient_sum(t for t in terms if t != 0)
+            if got is UNDEF:
+                raise ModelError(f"entry ({a},{c}) has an undefined sum "
+                                 f"in the complete semiring {s.name}")
             if got != 0:
                 entries[(a, c)] = got
     return Matrix.make(f.src_web, g.dst_web, entries)

@@ -23,6 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 
@@ -78,11 +79,10 @@ class CarrierError(TypeError):
     """A scalar does not belong to the semiring's carrier."""
 
 
-class CompletionWarning(UserWarning):
-    pass
-
-
 Family = tuple  # tuple of (scalar, multiplicity) pairs
+
+#: kinds whose matrix entries live in exact Q>=0 (the ambient carrier Rpos)
+_RATIONAL_KINDS = ("unit", "rpos")
 
 
 def normalize_family(fam) -> Family:
@@ -115,7 +115,12 @@ def normalize_family(fam) -> Family:
 
 @dataclass(frozen=True)
 class Semiring:
-    """Descriptor of a Σ-semiring: carrier, partial family-sum, total product."""
+    """Descriptor of a Σ-semiring: carrier, partial family-sum, total product.
+
+    ``ambient_mul(a, b)``, ``ambient_sum(terms)`` (a value or UNDEF) and
+    ``ambient_inv(x)`` are the arithmetic of matrix entries and module
+    coordinates; ``ambient`` is the semiring of their carrier.
+    """
 
     name: str
     kind: str  # 'finite' | 'nat' | 'nat_inf' | 'unit' | 'rpos' | 'completed'
@@ -128,6 +133,18 @@ class Semiring:
     _mul_rule: Callable = field(default=None, repr=False, compare=False)
     base: Optional["Semiring"] = None  # for naive completions
     completion_warning: bool = False
+
+    def __post_init__(self):
+        # The ambient arithmetic of matrix entries, chosen once: exact Q>=0
+        # for the rational kinds, whose bounds are enforced by membership of
+        # results rather than per entry (no carrier check, no merge step);
+        # the semiring's own partial operations otherwise.
+        if self.kind in _RATIONAL_KINDS:
+            ops = (_q_mul, _q_sum, _q_inv)
+        else:
+            ops = (partial(self._mul_rule, self), self._own_sum, self._own_inv)
+        for name, op in zip(("ambient_mul", "ambient_sum", "ambient_inv"), ops):
+            object.__setattr__(self, name, op)
 
     # -- carrier ---------------------------------------------------------
 
@@ -169,6 +186,26 @@ class Semiring:
 
     def sum(self, *values):
         return self.sum_family((v, 1) for v in values)
+
+    def _own_sum(self, terms):
+        return self.sum_family((t, 1) for t in terms)
+
+    def _own_inv(self, x):
+        # 1 is the only unit of the discrete carriers
+        if x != self.one:
+            raise ValueError(f"{x!r} is not invertible in {self.name}")
+        return self.one
+
+    @property
+    def ambient(self) -> "Semiring":
+        """The carrier matrix entries and coordinates live in: Rpos for the
+        rational kinds (a pcoh matrix may have entries above 1), else self."""
+        return RPOS if self.kind in _RATIONAL_KINDS else self
+
+    @property
+    def is_cancellative(self) -> bool:
+        """a + z = b has at most one solution z: the numeric carriers without ∞."""
+        return self.kind in ("nat", "unit", "rpos")
 
     def mul(self, a, b):
         self.check_scalar(a)
@@ -229,10 +266,6 @@ class Semiring:
 
 # ---------------------------------------------------------------------------
 # sum / product rules
-
-
-def _entry_weight(mult):
-    return None if mult is OMEGA else mult
 
 
 def _sum_I(s, fam):
@@ -302,6 +335,21 @@ def _sum_completed(s, fam):
         return INF
     base = s.base.sum_family(fam)
     return INF if base is UNDEF else base
+
+
+_Q_ZERO = Fraction(0)
+
+
+def _q_mul(a, b):
+    return Fraction(a) * Fraction(b)
+
+
+def _q_sum(terms):
+    return sum(terms, _Q_ZERO)
+
+
+def _q_inv(x):
+    return 1 / Fraction(x)
 
 
 def _mul_01(s, a, b):
@@ -559,17 +607,24 @@ def broken_F() -> Semiring:
 
 
 def parse_scalar(text: str, s: Semiring):
-    """Parse a scalar literal: `p/q`, an integer, or `inf`."""
+    """Parse a scalar literal of the carrier of `s`: `p/q`, an integer, or `inf`.
+
+    Raises ValueError on a malformed literal and CarrierError on a value
+    outside the carrier.
+    """
     text = text.strip()
-    if text == "inf":
-        value = INF
-    elif "/" in text:
-        num, den = text.split("/", 1)
-        value = Fraction(int(num), int(den))
-    else:
-        value = int(text)
-        if s.kind in ("unit", "rpos"):
-            value = Fraction(value)
+    try:
+        if text == "inf":
+            value = INF
+        elif "/" in text:
+            num, den = text.split("/", 1)
+            value = Fraction(int(num), int(den))
+        else:
+            value = Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad scalar literal {text!r}") from None
+    if value is not INF and s.ambient is not RPOS and value.denominator == 1:
+        value = value.numerator
     s.check_scalar(value)
     return value
 

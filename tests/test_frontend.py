@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 import random
 
 import pytest
@@ -127,6 +128,23 @@ def test_workspace_dead_atom_reported():
         loads_workspace("pcoh P { atoms [a, b]; gen (1, 0); }\n")
 
 
+def test_workspace_generator_outside_rpos_reported():
+    with pytest.raises(WorkspaceError):
+        loads_workspace("pcoh P { atoms [a, b]; gen (inf, 1); }\n")
+
+
+def test_workspace_matrix_cell_outside_carrier_reported():
+    with pytest.raises(WorkspaceError):
+        loads_workspace("module N = free(I, web [a, b])\n"
+                        "matrix f : N -> N = 2 0; 0 1\n")
+
+
+def test_workspace_pcoh_matrix_entries_may_exceed_one():
+    ws = loads_workspace("pcoh P { atoms [a, b]; gen (1/2, 0); gen (0, 1); }\n"
+                         "matrix f : P -> P = 0 0; 2 0\n")
+    assert ws.matrices["f"][0].entry("b", "a") == Fraction(2)
+
+
 # ---------------------------------------------------------------------------
 # interpreter
 
@@ -219,6 +237,26 @@ def test_cli_usage_errors(ws_file):
 
 def test_cli_check_comonoid(ws_file):
     assert main(["check-comonoid", ws_file, "P", "--degree", "2"]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "pcoh P { atoms [a, b]; gen (inf, 1); }\n",
+    "module N = free(I, web [a, b])\nmatrix f : N -> N = 2 0; 0 1\n",
+], ids=["gen-inf", "cell-2-over-I"])
+def test_cli_literal_outside_its_carrier_is_a_usage_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.llw"
+    p.write_text(text)
+    assert main(["show-matrix", str(p), "f"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_library_errors_are_usage_errors(ws_file, capsys):
+    # the degree bound raises ExponentialError inside the library
+    assert main(["bang", ws_file, "P", "--degree", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert main(["bipolar", ws_file, "P", "(inf, 0)"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_load_workspace_from_disk(ws_file):

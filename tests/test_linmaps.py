@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from smodlab.basedmod import IntegrityError, vec, web
+from smodlab.basedmod import IntegrityError, WebMismatch, vec, web
 from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
                              dual_and_eta, format_matrix, functional,
                              identity, is_morphism, linmap, lolli_obj,
@@ -34,6 +34,14 @@ def test_matrix_format_parse_round_trip():
     mat = Matrix.make(w1, w2, {("a", "x"): 1})
     text = format_matrix(mat)
     assert parse_matrix(text, w1, w2, I) == mat
+
+
+def test_matrix_make_rejects_entries_outside_its_webs():
+    w = web("a", "b")
+    with pytest.raises(WebMismatch):
+        Matrix.make(w, w, {("a", "z"): 1})
+    with pytest.raises(WebMismatch):
+        Matrix.make(w, w, {("z", "a"): 0})
 
 
 def test_matrix_transpose_and_entry():

@@ -5,7 +5,7 @@ import pytest
 from smodlab.basedmod import Web, vec, vec_sum, web
 from smodlab.linmaps import apply, is_morphism, matrix_of, validate_basis
 from smodlab.models import (BoundExceeded, CoherenceSpace, F_embed, F_invert,
-                            F_map, FinitenessSpace, G_embed, ModelError,
+                            F_map, FinitenessSpace, ModelError,
                             coherence_dual, coherence_lolli, coherence_module,
                             coherence_space, coherence_tensor, fin_dual,
                             finiteness_module, glue_is_morphism,
@@ -101,7 +101,7 @@ def test_fin_dual_at_finite_webs_is_powerset():
 
 
 def test_G_embed():
-    m = G_embed(FinitenessSpace("X", ("a",)))
+    m = finiteness_module(FinitenessSpace("X", ("a",)))
     assert m.admits(vec(m.web, a=1))
 
 

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,3 +145,31 @@ def test_naive_completion_of_I_passes_axioms():
 ])
 def test_parse_format_round_trip(text, s):
     assert format_scalar(parse_scalar(text, s)) == text
+
+
+# ---------------------------------------------------------------------------
+# the ambient arithmetic of matrix entries
+
+
+@pytest.mark.parametrize("s", list(SEMIRINGS.values()), ids=lambda s: s.name)
+def test_ambient_arithmetic_agrees_with_the_semiring(s):
+    values = s.sample_scalars(random.Random(0), 8)
+    for a, b in itertools.product(values, repeat=2):
+        assert s.ambient_mul(a, b) == s.mul(a, b)
+    for k in range(4):
+        for terms in itertools.combinations_with_replacement(values, k):
+            got = s.ambient_sum(terms)
+            want = s.sum_family((t, 1) for t in terms)
+            if want is not UNDEF:
+                assert got == want, (terms, got, want)
+            if s.ambient is RPOS:
+                assert type(got) is Fraction
+                assert got == RPOS.sum_family((t, 1) for t in terms)
+    assert s.ambient_mul(s.one, s.ambient_inv(s.one)) == s.one
+
+
+def test_ambient_arithmetic_of_unit_is_unbounded_and_invertible():
+    assert UNIT.ambient_sum((Fraction(3, 4), Fraction(1, 2))) == Fraction(5, 4)
+    assert UNIT.ambient_inv(Fraction(2, 5)) == Fraction(5, 2)
+    with pytest.raises(ValueError):
+        N.ambient_inv(2)
