@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import OMEGA, UNDEF, CarrierError, Semiring, format_scalar
+from .scalars import OMEGA, UNDEF, UNIT, CarrierError, Semiring, format_scalar
 from . import ratlp
 
 #: verdict for searches that hit their bound
@@ -154,11 +154,30 @@ class Presentation:
         """Per-coordinate partial sum; defaults to the semiring's."""
         return module.semiring.sum_family(fam)
 
+    def polytope(self, module: "BasedModule"):
+        """Generators (tuples in web order) whose downward convex hull is the
+        carrier, or None when the carrier is not a rational polytope."""
+        return None
+
+    def _kept_hull(self, compute):
+        """`compute()` once per presentation.  The result is an instance
+        attribute, not a field: it takes no part in ==, hash or repr."""
+        if "_hull" not in self.__dict__:
+            self.__dict__["_hull"] = compute()
+        return self.__dict__["_hull"]
+
 
 @dataclass(frozen=True)
 class FreeP(Presentation):
     def admits(self, module, v):
         return all(module.semiring.contains(x) for _, x in v.entries)
+
+    def polytope(self, module):
+        # [0,1]^web is the downward closure of the all-ones vector; a free
+        # Rpos module is the cone R>=0^web, which no polytope presents
+        if module.semiring is not UNIT:
+            return None
+        return (tuple(Fraction(1) for _ in module.web.atoms),)
 
     def __repr__(self):
         return "free"
@@ -236,6 +255,12 @@ class PolytopeP(Presentation):
     def coord_sum(self, module, fam):
         # bound enforced by membership, not per-coordinate
         return module.semiring.ambient.sum_family(fam)
+
+    def polytope(self, module):
+        if self.generators is not None:
+            return self.generators
+        return self._kept_hull(lambda: tuple(
+            ratlp.pruned_polar(self.constraints, len(module.web))))
 
     def __repr__(self):
         if self.generators is not None:

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import UNDEF
+from .scalars import RPOS, UNDEF
 from .basedmod import (BasedModule, CoherenceP, IntegrityError, Presentation,
                        Vector, Web, pair_atom, vec, vec_sum, zero_vector)
 from .linmaps import (DualBasis, LinMap, Matrix, apply, free_module,
                       gamma_basis, scalar_of, semiring_module, tensor_obj,
-                      unit_basis, _polytope_generators, _polytope_like)
+                      unit_basis)
 from . import ratlp
 
 
@@ -116,20 +116,18 @@ def parse_multiset(text: str, w: Web) -> MultisetIndex:
 # tensor powers
 
 
-def _tensor_power(V: BasedModule, basis: DualBasis, n: int):
-    """(module, basis, atom-label map sequence-of-basis-indices → atom)."""
+def _tensor_powers(V: BasedModule, basis: DualBasis, d: int):
+    """[(T_n, product basis)] for n = 0..d, with T_n = T_{n−1} ⊗ V.
+
+    The basis pairs of T_n are ordered seq-major: the pure tensor
+    e_{i_1}⊗…⊗e_{i_n} sits at the base-|basis| number i_1…i_n.
+    """
     s = V.semiring
-    if n == 0:
-        return semiring_module(s), unit_basis(s), {(): 0}
-    mod, b = V, basis
-    for _ in range(n - 1):
-        mod, b = tensor_obj(mod, V, b, basis)
-    # basis pairs of the fold are ordered lexicographically, seq-major
-    count = len(basis.pairs)
-    index_of = {}
-    for pos, seq in enumerate(itertools.product(range(count), repeat=n)):
-        index_of[seq] = pos
-    return mod, b, index_of
+    powers = [(semiring_module(s), unit_basis(s)), (V, basis)][:d + 1]
+    for _ in range(2, d + 1):
+        T, tb = powers[-1]
+        powers.append(tensor_obj(T, V, tb, basis))
+    return powers
 
 
 @dataclass(frozen=True)
@@ -137,16 +135,6 @@ class IdealGamma:
     xi: MultisetIndex
     sup: object           # scalar: largest r with the orbit sum defined
     basis_kind: str       # full-unit | interval | zero
-
-
-def _orbit_vector(tb: DualBasis, index_of, xi: MultisetIndex):
-    """The pure-tensor basis vectors e_s, s◁ξ, whose sum is e_ξ."""
-    pos = {a: i for i, a in enumerate(xi.atoms)}
-    members = []
-    for seq in xi.sequences():
-        idx = tuple(pos[a] for a in seq)
-        members.append(tb.pairs[index_of[idx]][0])
-    return members
 
 
 def _orbit_coords(s, members) -> dict:
@@ -161,36 +149,39 @@ def _orbit_coords(s, members) -> dict:
     return coords
 
 
-def _cached_power(V: BasedModule, basis: DualBasis, n: int, power_cache):
-    if power_cache is not None and n in power_cache:
-        return power_cache[n]
-    got = _tensor_power(V, basis, n)
-    if power_cache is not None:
-        power_cache[n] = got
-    return got
+def _orbit(T: BasedModule, tb: DualBasis, width: int, xi: MultisetIndex):
+    """(R_ξ by its supremum, coordinates of e_ξ in T's web or None when ξ is
+    not admissible), from the pure tensors e_s, s◁ξ, whose sum is e_ξ."""
+    s = T.semiring
+    pos = {a: i for i, a in enumerate(xi.atoms)}
+    members = []
+    for seq in xi.sequences():
+        idx = 0
+        for a in seq:
+            idx = idx * width + pos[a]
+        members.append(tb.pairs[idx][0])
+    gens = T.presentation.polytope(T)
+    if gens is None:
+        if vec_sum(T, [(m, 1) for m in members]) is UNDEF:
+            return IdealGamma(xi, s.zero, "zero"), None
+        return IdealGamma(xi, s.one, "full-unit"), _orbit_coords(s, members)
+    # membership is convex: the supremum is an exact LP optimum
+    coords = _orbit_coords(s, members)
+    w = tuple(coords.get(a, 0) for a in T.web.atoms)
+    if all(x == 0 for x in w):
+        return IdealGamma(xi, s.one, "full-unit"), coords
+    t = ratlp.max_scale(gens, w)
+    sup = s.one if t is None else min(Fraction(t), s.one)
+    kind = ("zero" if sup == 0
+            else "full-unit" if sup == s.one else "interval")
+    return IdealGamma(xi, sup, kind), coords
 
 
-def ideal_gamma(V: BasedModule, basis: DualBasis, xi: MultisetIndex,
-                _power_cache=None) -> IdealGamma:
+def ideal_gamma(V: BasedModule, basis: DualBasis,
+                xi: MultisetIndex) -> IdealGamma:
     """R_ξ = { r | Σ_{s◁ξ} r·e_s defined }, reported by its supremum."""
-    s = V.semiring
-    T, tb, index_of = _cached_power(V, basis, xi.degree, _power_cache)
-    members = _orbit_vector(tb, index_of, xi)
-    if _polytope_like(T):
-        # membership is convex: the supremum is an exact LP optimum
-        coords = _orbit_coords(s, members)
-        w = tuple(coords.get(a, 0) for a in T.web.atoms)
-        if all(x == 0 for x in w):
-            return IdealGamma(xi, s.one, "full-unit")
-        t = ratlp.max_scale(_polytope_generators(T), w)
-        sup = s.one if t is None else min(Fraction(t), s.one)
-        kind = ("zero" if sup == 0
-                else "full-unit" if sup == s.one else "interval")
-        return IdealGamma(xi, sup, kind)
-    got = vec_sum(T, [(m, 1) for m in members])
-    if got is UNDEF:
-        return IdealGamma(xi, s.zero, "zero")
-    return IdealGamma(xi, s.one, "full-unit")
+    T, tb = _tensor_powers(V, basis, xi.degree)[-1]
+    return _orbit(T, tb, len(basis.pairs), xi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +223,23 @@ class SymGradedP(Presentation):
         # the module web is exactly the union of layer labels
         return True
 
-    def constraint_rows(self, module):
-        """Constraint form over a rational ambient: pull the dual
-        constraints of each tensor-power polytope back through the graded
-        layer map v ↦ Σ_ξ v(ξ)·e_ξ."""
-        from . import ratlp
-        from .linmaps import _polytope_generators
+    def polytope(self, module):
+        return self._kept_hull(lambda: self._pulled_back_hull(module))
+
+    def _pulled_back_hull(self, module):
+        """Over a rational ambient, pull the dual constraints of each
+        tensor-power polytope back through the graded layer map
+        v ↦ Σ_ξ v(ξ)·e_ξ; the carrier is the polar of those rows."""
+        if module.semiring.ambient is not RPOS:
+            return None
         atoms = module.web.atoms
         idx = {a: i for i, a in enumerate(atoms)}
         rows = []
         for degree, T, table in self.layers:
+            gens = T.presentation.polytope(T)
+            if gens is None:
+                return None
             tpos = {a: i for i, a in enumerate(T.web.atoms)}
-            gens = [tuple(Fraction(x) for x in g)
-                    for g in _polytope_generators(T)]
             for dvec in ratlp.polar_vertices(gens, len(T.web.atoms)):
                 row = [Fraction(0)] * len(atoms)
                 for label, e_coords in table:
@@ -253,27 +248,27 @@ class SymGradedP(Presentation):
                          for a, x in e_coords), Fraction(0))
                 if any(row):
                     rows.append(tuple(row))
-        return tuple(ratlp.prune_dominated(rows))
+        return tuple(ratlp.pruned_polar(ratlp.prune_dominated(rows), len(atoms)))
 
 
 # ---------------------------------------------------------------------------
 # symmetric powers and the truncated bang
 
 
-def _sym_layer(V: BasedModule, basis: DualBasis, n: int, power_cache):
-    """Admissible multisets of degree n plus the layer data for SymGradedP."""
-    T, tb, index_of = _cached_power(V, basis, n, power_cache)
+def _sym_layer(V: BasedModule, basis: DualBasis, T: BasedModule,
+               tb: DualBasis, n: int):
+    """Admissible multisets of degree n with their R_ξ, plus the layer table
+    for SymGradedP."""
     admissible = []
     table = []
     for xi in multisets_of_degree(V.web.atoms, n):
-        gamma = ideal_gamma(V, basis, xi, power_cache)
-        if gamma.sup == 0 and gamma.basis_kind == "zero":
+        gamma, coords = _orbit(T, tb, len(basis.pairs), xi)
+        if gamma.basis_kind == "zero":
             continue
-        coords = _orbit_coords(V.semiring, _orbit_vector(tb, index_of, xi))
         admissible.append((xi, gamma))
         table.append((xi.label, tuple((a, x) for a, x in coords.items()
                                       if x != 0)))
-    return T, admissible, tuple(table)
+    return admissible, tuple(table)
 
 
 def sym_power(V: BasedModule, basis: DualBasis, n: int,
@@ -283,7 +278,8 @@ def sym_power(V: BasedModule, basis: DualBasis, n: int,
         raise ExponentialError(f"degree {n} exceeds the bound {bound}")
     if not basis.orthogonal:
         raise ExponentialError("sym_power needs an orthogonal base basis")
-    T, admissible, table = _sym_layer(V, basis, n, {})
+    T, tb = _tensor_powers(V, basis, n)[-1]
+    admissible, table = _sym_layer(V, basis, T, tb, n)
     w = Web(tuple(xi.label for xi, _ in admissible))
     mod = BasedModule(V.semiring, w, SymGradedP(((n, T, table),)),
                       f"Sym{n}({V.name or 'V'})")
@@ -318,12 +314,11 @@ def bang(V: BasedModule, basis: DualBasis, d: int,
     if not basis.orthogonal:
         raise ExponentialError("bang needs an orthogonal base basis")
     s = V.semiring
-    cache = {}
     layers = []
     all_multisets = []
     gammas = []
-    for n in range(d + 1):
-        T, admissible, table = _sym_layer(V, basis, n, cache)
+    for n, (T, tb) in enumerate(_tensor_powers(V, basis, d)):
+        admissible, table = _sym_layer(V, basis, T, tb, n)
         layers.append((n, T, table))
         for xi, gamma in admissible:
             all_multisets.append(xi)
@@ -560,7 +555,7 @@ def _sample_members(V: BasedModule, samples: int, seed: int):
         return carrier
     rng = random.Random(seed)
     out = [zero_vector(V.web)]
-    gens = _polytope_generators(V) if _polytope_like(V) else ()
+    gens = V.presentation.polytope(V) or ()
     for g in gens:
         out.append(vec(V.web, dict(zip(V.web.atoms, g))))
     for _ in range(samples):

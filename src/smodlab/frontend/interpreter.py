@@ -26,16 +26,16 @@ import re
 from dataclasses import dataclass
 
 from ..scalars import Semiring, parse_scalar
-from ..basedmod import (BasedModule, Vector, Web, coproduct_module,
-                        free_module, pair_atom, product_module, split_pair,
-                        vec, zero_module)
+from ..basedmod import (BasedModule, CoherenceP, PolytopeP, Vector, Web,
+                        coproduct_module, free_module, pair_atom,
+                        product_module, split_pair, vec, zero_module)
 from ..linmaps import (DualBasis, LinMap, Matrix, functional, gamma_basis,
                        identity, is_morphism, lolli_obj, semiring_module,
                        tensor_obj, unit_basis)
-from ..models import (CoherenceSpace, FinitenessSpace, ProbCohSpace, F_embed,
-                      H_embed, pcoh_gamma_and_basis, finiteness_module)
+from ..models import CoherenceSpace, coherence_module
 from ..exponential import bang, bang_basis, comult as exp_comult, \
     dereliction, promote as exp_promote
+from .. import ratlp
 from . import formulas as F
 from .workspace import Workspace, WorkspaceError
 
@@ -53,21 +53,11 @@ class Denotation:
 def _denote_name(ws: Workspace, name: str) -> Denotation:
     if name in ws.formulas:
         return interpret_formula(ws, ws.formulas[name])
-    if name in ws.spaces:
-        sp = ws.spaces[name]
-        if isinstance(sp, CoherenceSpace):
-            mod, basis = F_embed(sp)
-            return Denotation(mod, basis)
-        if isinstance(sp, ProbCohSpace):
-            _, basis = pcoh_gamma_and_basis(sp)
-            return Denotation(H_embed(sp), basis)
-        if isinstance(sp, FinitenessSpace):
-            mod = finiteness_module(sp)
-            return Denotation(mod, gamma_basis(mod))
-    if name in ws.modules:
-        mod = ws.modules[name]
-        return Denotation(mod, gamma_basis(mod))
-    raise InterpretError(f"unbound atom {name!r}")
+    try:
+        mod = ws.module_named(name)
+    except WorkspaceError:
+        raise InterpretError(f"unbound atom {name!r}") from None
+    return Denotation(mod, _recover_basis(mod))
 
 
 def _shift_basis(whole: BasedModule, part: Denotation, prefix: str) -> tuple:
@@ -123,6 +113,8 @@ def interpret_formula(ws: Workspace, ast) -> Denotation:
 
 
 def parse_vector(text: str, w: Web, s: Semiring) -> Vector:
+    """Coordinates are literals of the ambient carrier of `s`; membership is
+    the caller's check."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise InterpretError(f"bad vector literal {text!r}")
@@ -136,7 +128,7 @@ def parse_vector(text: str, w: Web, s: Semiring) -> Vector:
             atom = atom.strip()
             if atom not in w.atoms:
                 raise InterpretError(f"unknown atom {atom!r} in vector literal")
-            coords[atom] = parse_scalar(value.strip(), s)
+            coords[atom] = parse_scalar(value.strip(), s.ambient)
     return vec(w, coords)
 
 
@@ -318,10 +310,10 @@ def _tensor_den(ws: Workspace, m: BasedModule, n: BasedModule) -> Denotation:
 
 
 def _recover_basis(m: BasedModule) -> DualBasis:
-    from ..basedmod import PolytopeP
-    from ..linmaps import _polytope_generators
+    """γ_a = the largest generator coordinate at a for a polytope carrier
+    (the pcoh basis), else γ_a = 1."""
     if isinstance(m.presentation, PolytopeP):
-        gens = _polytope_generators(m)
+        gens = m.presentation.polytope(m)
         return gamma_basis(m, {a: max(g[i] for g in gens)
                                for i, a in enumerate(m.web.atoms)})
     return gamma_basis(m)
@@ -345,8 +337,6 @@ def _unpair_web(w: Web):
 
 def _curry(ws: Workspace, f: LinMap, a_atoms, b_atoms) -> LinMap:
     """A ⊗ B → C to A → (B ⊸ C), on raw matrices."""
-    from ..basedmod import FreeP
-    s = f.src.semiring
     # reconstruct component modules of the tensor source by membership slicing
     a_mod = _component_module(f.src, a_atoms, first=True, other=b_atoms)
     b_mod = _component_module(f.src, b_atoms, first=False, other=a_atoms)
@@ -364,8 +354,6 @@ def _curry(ws: Workspace, f: LinMap, a_atoms, b_atoms) -> LinMap:
 def _component_module(t: BasedModule, atoms, first: bool, other) -> BasedModule:
     """Slice a tensor module down to one factor by fixing the other factor
     to zero; presentations of the shipped tensors restrict coherently."""
-    from ..basedmod import CoherenceP, EnumeratedP, PolytopeP, FreeP
-    from ..models import CoherenceSpace, coherence_module
     w = Web(tuple(atoms))
     pres = t.presentation
     if isinstance(pres, CoherenceP):
@@ -381,9 +369,8 @@ def _component_module(t: BasedModule, atoms, first: bool, other) -> BasedModule:
             CoherenceSpace(f"{t.name}.{1 if first else 2}", tuple(atoms),
                            frozenset(rel)), w)
     if isinstance(pres, PolytopeP):
-        from ..linmaps import _polytope_generators
         gens = set()
-        for g in _polytope_generators(t):
+        for g in pres.polytope(t):
             coords = dict(zip(t.web.atoms, g))
             if first:
                 sliced = tuple(max(coords[pair_atom(a, b)] for b in other)
@@ -392,7 +379,6 @@ def _component_module(t: BasedModule, atoms, first: bool, other) -> BasedModule:
                 sliced = tuple(max(coords[pair_atom(b, a)] for b in other)
                                for a in atoms)
             gens.add(sliced)
-        from .. import ratlp
         return BasedModule(t.semiring, w,
                            PolytopeP(generators=tuple(
                                ratlp.prune_dominated(list(gens)))),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .scalars import OMEGA, RPOS, UNDEF, Semiring, format_scalar, parse_scalar
@@ -189,42 +188,12 @@ class MorphismReport:
         return self.ok
 
 
-_GENERATOR_CACHE: dict = {}
-
-
-def _polytope_generators(m: BasedModule):
-    pres = m.presentation
-    if isinstance(pres, FreeP):
-        # [0,1]^web is the downward-convex closure of the all-ones vector
-        return (tuple(Fraction(1) for _ in m.web.atoms),)
-    # keyed by id, with the presentation kept alive so ids are never reused
-    key = id(pres)
-    if key in _GENERATOR_CACHE:
-        return _GENERATOR_CACHE[key][1]
-    if isinstance(pres, PolytopeP) and pres.generators is not None:
-        gens = pres.generators
-    else:
-        rows = (pres.constraints if isinstance(pres, PolytopeP)
-                else pres.constraint_rows(m))
-        verts = ratlp.polar_vertices(rows, len(m.web))
-        gens = tuple(ratlp.prune_dominated([tuple(v) for v in verts]))
-    _GENERATOR_CACHE[key] = (pres, gens)
-    return gens
-
-
-def _polytope_like(m: BasedModule) -> bool:
-    """Membership is a rational polytope: coefficients in Q>=0 and a
-    polytope, free or graded (constraint-row) presentation."""
-    pres = m.presentation
-    return m.semiring.ambient is RPOS and (
-        isinstance(pres, (PolytopeP, FreeP)) or hasattr(pres, "constraint_rows"))
-
-
 def is_morphism(f: LinMap, max_entries: int = 2) -> MorphismReport:
     """Presentation-directed linearity check.
 
     Coherence pairs use the clique condition on the linear-function-space
-    relation; polytope pairs check generator images; enumerable carriers are
+    relation; a polytope source checks its generators' images, and a free
+    Rpos source (a cone) its rays' images; enumerable carriers are
     checked by bounded brute force (definedness, additivity on defined
     families including ω-repetitions, and action preservation when the
     semirings coincide).
@@ -243,17 +212,31 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> MorphismReport:
                                       "function-space coherence")
         return MorphismReport(True, "coherence")
 
-    if _polytope_like(src) and dst.semiring.ambient is RPOS:
+    if dst.semiring.ambient is RPOS:
         # Rational modules use ambient arithmetic, so additivity and the
         # scalar action hold entry-wise; membership is convex, so checking
         # the generators suffices.
-        for g in _polytope_generators(src):
-            gv = vec(src.web, dict(zip(src.web.atoms, g)))
-            img = apply(f, gv)
-            if img is UNDEF:
-                return MorphismReport(False, "polytope-generators",
-                                      f"image of generator {gv!r} leaves the polytope")
-        return MorphismReport(True, "polytope-generators")
+        gens = src.presentation.polytope(src)
+        if gens is not None:
+            for g in gens:
+                gv = vec(src.web, dict(zip(src.web.atoms, g)))
+                if apply(f, gv) is UNDEF:
+                    return MorphismReport(False, "polytope-generators",
+                                          f"image of generator {gv!r} leaves the polytope")
+            return MorphismReport(True, "polytope-generators")
+        if src.semiring is RPOS and isinstance(src.presentation, FreeP):
+            # A free Rpos module is the cone R>=0^web, generated by the rays
+            # t·δ_a.  An Rpos target holds every multiple of a member (the
+            # action is total); a unit-module is bounded, so there a ray
+            # must map to zero.
+            for a in src.web.atoms:
+                ray = vec(src.web, {a: 1})
+                img = apply(f, ray)
+                if img is UNDEF or not (dst.semiring is RPOS or img.is_zero()):
+                    return MorphismReport(False, "polytope-generators",
+                                          f"image of the ray through {ray!r} "
+                                          "leaves the target")
+            return MorphismReport(True, "polytope-generators")
 
     carrier = src.carrier_vectors(cap=4096)
     if carrier is None:
@@ -436,10 +419,11 @@ def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
         from .models import coherence_tensor, coherence_module
         space = coherence_tensor(mp.space, np_.space, name or "⊗")
         mod = coherence_module(space, w)
-    elif _polytope_like(m) and _polytope_like(n):
+    elif ((gm := mp.polytope(m)) is not None
+          and (gn := np_.polytope(n)) is not None):
         gens = []
-        for g in _polytope_generators(m):
-            for h in _polytope_generators(n):
+        for g in gm:
+            for h in gn:
                 gens.append(tuple(s.ambient_mul(gi, hj) for gi in g for hj in h))
         mod = BasedModule(s, w, PolytopeP(generators=tuple(ratlp.prune_dominated(gens))),
                           name or "⊗")
@@ -498,11 +482,11 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
         from .models import coherence_lolli, coherence_module
         space = coherence_lolli(mp.space, np_.space, name or "⊸")
         mod = coherence_module(space, w)
-    elif _polytope_like(m) and _polytope_like(n):
+    elif ((gm := mp.polytope(m)) is not None
+          and (gn := np_.polytope(n)) is not None):
         cons = []
-        dual_n = ratlp.prune_dominated(
-            ratlp.polar_vertices(_polytope_generators(n), len(n.web)))
-        for g in _polytope_generators(m):
+        dual_n = ratlp.pruned_polar(gn, len(n.web))
+        for g in gm:
             for u in dual_n:
                 cons.append(tuple(s.ambient_mul(ga, ub) for ga in g for ub in u))
         mod = BasedModule(s, w, PolytopeP(constraints=tuple(sorted(set(cons)))),
@@ -627,8 +611,8 @@ def dual_and_eta(m: BasedModule, b: DualBasis) -> DualityReport:
             relabeled = {apply(eta, x) for x in carrier_m}
             iso = iso and relabeled == set(carrier_dd)
         elif isinstance(m.presentation, PolytopeP):
-            gens = ratlp.prune_dominated(_polytope_generators(m))
-            dd_gens = ratlp.prune_dominated(_polytope_generators(ddual))
+            gens = ratlp.prune_dominated(m.presentation.polytope(m))
+            dd_gens = ratlp.prune_dominated(ddual.presentation.polytope(ddual))
             iso = iso and gens == dd_gens
         mu_eta = iso and compose(eta, inv).matrix == identity_matrix(m.web)
     else:

@@ -15,8 +15,8 @@ from typing import Iterable, Optional
 from .scalars import F as FSEMI
 from .scalars import I as ISEMI
 from .scalars import INF, NINF, UNDEF, UNIT, Semiring
-from .basedmod import (BasedModule, CoherenceP, FinitenessP, PolytopeP,
-                       Web, WebMismatch, pair_atom)
+from .basedmod import (BasedModule, CoherenceP, FinitenessP, IntegrityError,
+                       PolytopeP, Web, WebMismatch, pair_atom)
 from .linmaps import LinMap, Matrix, gamma_basis, is_morphism
 from . import ratlp
 
@@ -237,8 +237,7 @@ def pcoh_dual(P: ProbCohSpace, bound: int = 4) -> ProbCohSpace:
         raise BoundExceeded(
             f"dual generator enumeration refused at web size {len(P.atoms)} "
             f"(bound {bound}); membership queries remain available")
-    verts = ratlp.polar_vertices(P.generators, len(P.atoms))
-    canon = ratlp.prune_dominated([tuple(v) for v in verts])
+    canon = ratlp.pruned_polar(P.generators, len(P.atoms))
     return ProbCohSpace(f"{P.name}^", P.atoms, tuple(canon))
 
 
@@ -344,7 +343,8 @@ def glue_tight_closure(web: Web, u_vectors, s: Semiring = NINF,
     carrier = _glue_carrier(len(web), bound)
     x = _polar(seed, carrier)
     u = _polar(x, carrier)
-    assert _polar(u, carrier) == x, "triple polar must collapse"
+    if _polar(u, carrier) != x:
+        raise IntegrityError("triple polar must collapse")
     return GlueObject(web, frozenset(u), x)
 
 

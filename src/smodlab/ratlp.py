@@ -1,14 +1,16 @@
 """Exact rational linear programming, sized for tiny webs.
 
-Everything here works over `fractions.Fraction`; no floating point.  The two
+Everything here works over `fractions.Fraction`; no floating point.  The
 entry points are
 
 * `max_scale(gens, w)` -- the largest t with t·w in the downward convex hull
   of `gens` (hull scaled by a total weight <= 1), via a dense exact simplex;
 * `polar_vertices(gens, dim)` -- vertex enumeration of
-  {u >= 0 | <g, u> <= 1 for all g in gens} by brute-force basis inspection.
+  {u >= 0 | <g, u> <= 1 for all g in gens} by brute-force basis inspection;
+* `pruned_polar(gens, dim)` -- those vertices with the dominated ones
+  dropped: irredundant generators of the polar polytope.
 
-Both are deliberately simple: webs are bounded (default 4) by the caller.
+All are deliberately simple: webs are bounded (default 4) by the caller.
 """
 
 from __future__ import annotations
@@ -148,3 +150,8 @@ def prune_dominated(gens: Sequence[tuple]) -> list:
         if rest and in_bipolar(rest, g):
             kept = rest
     return sorted(kept)
+
+
+def pruned_polar(gens: Sequence[Vec], dim: int) -> list:
+    """Irredundant generators of the polar of `gens` (see `polar_vertices`)."""
+    return prune_dominated(polar_vertices(gens, dim))

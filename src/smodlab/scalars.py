@@ -132,7 +132,6 @@ class Semiring:
     _sum_rule: Callable = field(default=None, repr=False, compare=False)
     _mul_rule: Callable = field(default=None, repr=False, compare=False)
     base: Optional["Semiring"] = None  # for naive completions
-    completion_warning: bool = False
 
     def __post_init__(self):
         # The ambient arithmetic of matrix entries, chosen once: exact Q>=0
@@ -381,14 +380,11 @@ def naive_complete(s: Semiring) -> Semiring:
     """Adjoin ∞ and send every previously-undefined sum to it.
 
     The inclusion preserves all defined sums and products; ∞ absorbs sums and
-    multiplies by the ∞·0 = 0, ∞·x = ∞ rule.  On an already-complete input
-    this returns the input itself with a warning flag set.
+    multiplies by the ∞·0 = 0, ∞·x = ∞ rule.  An already-complete input is
+    returned as it is.
     """
     if s.is_complete:
-        return Semiring(
-            s.name, s.kind, s.zero, s.one, True, True, s.elements,
-            s._sum_rule, s._mul_rule, s.base, completion_warning=True,
-        )
+        return s
     elements = None
     if s.kind == "finite":
         elements = s.elements + (INF,)

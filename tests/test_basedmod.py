@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smodlab.basedmod import (EnumeratedP, MembershipError, UNKNOWN, Vector,
+from smodlab import ratlp
+from smodlab.basedmod import (BasedModule, EnumeratedP, MembershipError,
+                              PolytopeP, UNKNOWN, Vector,
                               Web, WebMismatch, classify_submodule,
                               coproduct_module, enumerated_module,
                               free_module, preorder_leq_vec, product_module,
@@ -106,3 +110,24 @@ def test_zero_module():
     z = zero_module(I)
     assert z.web.atoms == ()
     assert z.admits(vec(z.web))
+
+
+_QUARTERS = st.integers(min_value=0, max_value=8).map(lambda k: Fraction(k, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda dim: st.tuples(
+    st.lists(st.tuples(*[_QUARTERS] * dim), min_size=1, max_size=3),
+    st.lists(st.tuples(*[_QUARTERS] * dim), min_size=1, max_size=6))))
+def test_constraint_polytope_hull_matches_its_constraints(case):
+    constraints, points = case
+    dim = len(constraints[0])
+    # every atom needs a positive constraint entry, or the polar is a cone
+    constraints = constraints + [(Fraction(1),) * dim]
+    m = BasedModule(UNIT, Web(tuple(f"x{i}" for i in range(dim))),
+                    PolytopeP(constraints=tuple(constraints)))
+    hull = m.presentation.polytope(m)
+    for u in points:
+        by_constraints = all(sum(c * x for c, x in zip(con, u)) <= 1
+                             for con in constraints)
+        assert ratlp.in_bipolar(hull, u) == by_constraints

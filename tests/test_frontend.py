@@ -259,6 +259,35 @@ def test_cli_library_errors_are_usage_errors(ws_file, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+PCOH_TEXT = """
+pcoh P { atoms [a, b]; gen (2, 0); gen (0, 1); }
+module M = pcoh(P)
+"""
+
+
+@pytest.fixture
+def pcoh_file(tmp_path):
+    p = tmp_path / "pcoh.llw"
+    p.write_text(PCOH_TEXT)
+    return str(p)
+
+
+def test_cli_bang_of_pcoh_module_matches_its_space(pcoh_file, capsys):
+    outputs = []
+    for name in ("M", "P"):
+        assert main(["bang", pcoh_file, name, "--degree", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "gamma [a,b] = 1/2" in outputs[0]
+
+
+def test_cli_promote_parses_vectors_in_the_ambient_carrier(pcoh_file, capsys):
+    assert main(["promote", pcoh_file, "P", "{a:2}", "--degree", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "{[]:1, [a]:1}"
+    assert main(["promote", pcoh_file, "P", "{a:3}", "--degree", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_load_workspace_from_disk(ws_file):
     ws = load_workspace(ws_file)
     assert "swap" in ws.matrices

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -5,14 +7,14 @@ import pytest
 from smodlab.basedmod import IntegrityError, WebMismatch, vec, web
 from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
                              dual_and_eta, format_matrix, functional,
-                             identity, is_morphism, linmap, lolli_obj,
-                             matrix_of, parse_matrix, semiring_module,
-                             tensor_obj, unit_basis, validate_basis,
-                             zero_map)
+                             gamma_basis, identity, is_morphism, linmap,
+                             lolli_obj, matrix_of, pair_web, parse_matrix,
+                             semiring_module, tensor_obj, unit_basis,
+                             validate_basis, zero_map)
 from smodlab.models import (F_embed, H_embed, coherence_module,
                             coherence_space, pcoh_gamma_and_basis,
                             pcoh_space)
-from smodlab.scalars import I, UNDEF, UNIT
+from smodlab.scalars import I, RPOS, UNDEF, UNIT
 from smodlab.basedmod import free_module
 
 
@@ -109,6 +111,31 @@ def test_is_morphism_polytope_strategy():
     assert not is_morphism(g).ok  # image of e_a leaves the simplex
 
 
+@pytest.mark.parametrize("dst_semiring,entry,ok", [
+    (UNIT, Fraction(1, 2), False),  # the ray through {a:1} leaves [0,1]
+    (UNIT, 0, True),
+    (RPOS, Fraction(1, 2), True),
+], ids=["rpos-to-unit", "rpos-to-unit-zero", "rpos-to-rpos"])
+def test_is_morphism_free_rpos_source_is_a_cone(dst_semiring, entry, ok):
+    f = linmap(free_module(RPOS, web("a")), free_module(dst_semiring, web("a")),
+               {("a", "a"): entry})
+    rep = is_morphism(f)
+    assert rep.ok is ok and rep.strategy == "polytope-generators"
+    if entry:
+        image = apply(f, vec(f.src.web, {"a": 10}))
+        assert (image is UNDEF) is not ok
+
+
+def test_is_morphism_keeps_no_presentation_alive():
+    P = pcoh_space("P", ("a", "b"), [(1, 0), (0, 1)])
+    m = H_embed(P)
+    assert is_morphism(identity(m)).ok
+    pres = weakref.ref(m.presentation)
+    del m
+    gc.collect()
+    assert pres() is None
+
+
 # ---------------------------------------------------------------------------
 # bases
 
@@ -141,6 +168,14 @@ def test_tensor_obj_coherence():
     assert t.admits(vec(t.web, {"(a,a)": 1, "(b,b)": 1}))
     assert not t.admits(vec(t.web, {"(a,a)": 1, "(c,c)": 1}))
     assert validate_basis(t, tb).valid
+
+
+def test_tensor_obj_free_rpos_is_free_rpos():
+    m = free_module(RPOS, web("a", "b"))
+    t, tb = tensor_obj(m, m, gamma_basis(m), gamma_basis(m))
+    assert t == free_module(RPOS, pair_web(m.web, m.web), "⊗")
+    assert t.admits(vec(t.web, {"(a,b)": 7}))
+    assert len(tb) == 4
 
 
 def test_lolli_obj_semiring_dual():

@@ -134,6 +134,8 @@ def test_naive_completion_of_I_passes_axioms():
     assert s.is_complete
     assert s.sum(1, 1) is INF
     assert axiom_report(s).ok
+    assert naive_complete(s) is s
+    assert naive_complete(NINF) is NINF
 
 
 # ---------------------------------------------------------------------------
