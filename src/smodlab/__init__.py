@@ -4,10 +4,10 @@ probabilistic-coherence models of linear logic at finite web scale."""
 
 from .scalars import (INF, OMEGA, UNDEF, SEMIRINGS, Semiring, axiom_report,
                       naive_complete)
-from .basedmod import (BasedModule, Vector, Web, classify_submodule,
-                       coproduct_module, equalizer_submodule, free_module,
-                       preorder_leq_vec, product_module, scalar_action, vec,
-                       vec_sum, zero_module)
+from .basedmod import (UNKNOWN, BasedModule, Vector, Verdict, Web,
+                       classify_submodule, coproduct_module, equalizer_submodule,
+                       free_module, preorder_leq_vec, product_module,
+                       scalar_action, vec, vec_sum, zero_module)
 from .linmaps import (DualBasis, LinMap, Matrix, apply, compose, dual_and_eta,
                       identity, is_morphism, lolli_obj, matrix_of, tensor_obj,
                       validate_basis)

@@ -9,15 +9,73 @@ by membership of the result; "undefined" (UNDEF) is a first-class outcome.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import OMEGA, UNDEF, UNIT, CarrierError, Semiring, format_scalar
 from . import ratlp
 
-#: verdict for searches that hit their bound
-UNKNOWN = "unknown"
+
+class _Unknown:
+    """The verdict of a search its bound cut short: neither True nor False."""
+
+    def __repr__(self):
+        return "UNKNOWN"
+
+    def __bool__(self):
+        raise TypeError("UNKNOWN has no truth value; test `ok is True`")
+
+
+UNKNOWN = _Unknown()
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The outcome of a bounded check of `what`.
+
+    `ok` is True (proved), False (refuted; `counterexample` is a witness) or
+    UNKNOWN (cut short; `counterexample` names the bound).  `checked` counts
+    the instances examined by `strategy`; `checks` holds sub-verdicts.
+    """
+
+    what: str
+    ok: object
+    strategy: str = ""
+    checked: int = 0
+    counterexample: Optional[str] = None
+    checks: tuple = ()
+
+    @staticmethod
+    def all(what: str, checks) -> "Verdict":
+        """The conjunction of `checks`: False if one fails, else UNKNOWN if
+        one is undecided, else True."""
+        checks = tuple(checks)
+        ok = (False if any(c.ok is False for c in checks)
+              else UNKNOWN if any(c.ok is UNKNOWN for c in checks) else True)
+        return Verdict(what, ok, checked=sum(c.checked for c in checks),
+                       checks=checks)
+
+    def __str__(self):
+        status = {True: "pass", False: "FAIL"}.get(self.ok, "UNKNOWN")
+        line = f"[{status}] {self.what}"
+        if self.strategy:
+            line += f" ({self.strategy}, {self.checked} checked)"
+        if self.counterexample:
+            line += f" -- {self.counterexample}"
+        return line
+
+    def lines(self, indent: str = "") -> list:
+        return [indent + str(self)] + [line for c in self.checks
+                                       for line in c.lines(indent + "  ")]
+
+    def as_json(self) -> dict:
+        return {"what": self.what,
+                "ok": "unknown" if self.ok is UNKNOWN else self.ok,
+                "strategy": self.strategy, "checked": self.checked,
+                "counterexample": self.counterexample,
+                "checks": [c.as_json() for c in self.checks]}
+
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -376,9 +434,12 @@ class BasedModule:
     def zero(self) -> Vector:
         return zero_vector(self.web)
 
+    @property
+    def label(self) -> str:
+        return self.name or f"{self.semiring.name}^{len(self.web)}"
+
     def __repr__(self):
-        label = self.name or f"{self.semiring.name}^{len(self.web)}"
-        return f"Module({label}:{self.presentation!r})"
+        return f"Module({self.label}:{self.presentation!r})"
 
     # -- enumeration -----------------------------------------------------
 
@@ -508,14 +569,6 @@ def equalizer_submodule(f, g) -> BasedModule:
                              name="eq")
 
 
-@dataclass
-class SubmoduleVerdict:
-    is_submodule: bool
-    is_sum_reflecting: object  # bool or UNKNOWN
-    is_downward_closed: object
-    detail: str = ""
-
-
 def _module_sum_families(vectors, max_entries, with_omega=True):
     mults = [1, 2] + ([OMEGA] if with_omega else [])
     pairs = [(v, m) for v in vectors for m in mults]
@@ -525,8 +578,9 @@ def _module_sum_families(vectors, max_entries, with_omega=True):
 
 def classify_submodule(sub: BasedModule, sup: BasedModule,
                        max_entries: int = 3, samples: int = 50,
-                       seed: int = 0) -> SubmoduleVerdict:
-    """Bounded check of the submodule / sum-reflecting / downward-closed flags.
+                       seed: int = 0) -> Verdict:
+    """Bounded check of the submodule / sum-reflecting / downward-closed flags,
+    the three sub-verdicts in that order.
 
     Enumerates carriers when possible, otherwise samples; a verdict the
     bounds cannot settle is UNKNOWN, never silently False.
@@ -537,42 +591,55 @@ def classify_submodule(sub: BasedModule, sup: BasedModule,
     rng = random.Random(seed)
     sub_carrier = sub.carrier_vectors(cap=2000)
     sup_carrier = sup.carrier_vectors(cap=2000)
-    bounded = sub_carrier is not None and sup_carrier is not None
+    strategy = ("enumerated" if sub_carrier is not None and sup_carrier is not None
+                else "sampled")
+    what = f"{sub.label} is a sum-reflecting, downward-closed submodule of {sup.label}"
 
     if sub_carrier is None:
         sub_carrier = _sample_vectors(sub, rng, samples)
-    if not all(sup.admits(v) for v in sub_carrier):
-        return SubmoduleVerdict(False, False, False, "carrier not contained")
+    outside = next((v for v in sub_carrier if not sup.admits(v)), None)
+    if outside is not None:
+        why = f"carrier element {outside!r} not contained"
+        return Verdict.all(what, (Verdict(flag, False, strategy, counterexample=why)
+                                  for flag in ("submodule", "sum-reflecting",
+                                               "downward-closed")))
 
-    is_sub = True
-    reflecting = True
+    not_sub = not_reflecting = None
+    families = 0
     base = sub_carrier if len(sub_carrier) <= 12 else sub_carrier[:12]
     for fam in _module_sum_families(base, max_entries):
+        families += 1
         in_sub = vec_sum(sub, fam)
         in_sup = vec_sum(sup, fam)
         if in_sub is not UNDEF:
             if in_sup is UNDEF or in_sup != in_sub:
-                is_sub = False
+                not_sub = f"sum of {fam}"
                 break
-        if in_sup is not UNDEF and sub.admits(in_sup) and in_sub is UNDEF:
-            reflecting = False
+        if (not_reflecting is None and in_sup is not UNDEF
+                and sub.admits(in_sup) and in_sub is UNDEF):
+            not_reflecting = f"sum of {fam}"
 
-    down = True
+    down, below, pairs = True, None, 0
     candidates = sup_carrier if sup_carrier is not None \
         else _sample_vectors(sup, rng, min(samples, 30))
     for y in base:
         for x in candidates:
+            pairs += 1
             le = preorder_leq_vec(sup, x, y)
             if le is UNKNOWN:
                 down = UNKNOWN if down is True else down
+                below = below or f"{x!r} <= {y!r} undecided within the carrier bound"
             elif le is True and not sub.admits(x):
-                down = False
+                down, below = False, f"{x!r} <= {y!r} lies outside"
                 break
         if down is False:
             break
 
-    detail = "exhaustive within bounds" if bounded else "sampled (infinite carrier)"
-    return SubmoduleVerdict(is_sub, reflecting, down, detail)
+    return Verdict.all(what, (
+        Verdict("submodule", not_sub is None, strategy, families, not_sub),
+        Verdict("sum-reflecting", not_reflecting is None, strategy, families,
+                not_reflecting),
+        Verdict("downward-closed", down, strategy, pairs, below)))
 
 
 def _sample_vectors(m: BasedModule, rng, count: int):

@@ -1,8 +1,13 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 property failure, 2 usage error; a library error
-(bad literal, bound exceeded, unsupported construction) prints `error: …`
-and exits 2 rather than escaping as a traceback.
+Exit codes: 0 success, 1 a checked property fails, 2 usage error, 3 a check
+its search bound cut short (undecided).  A library error (bad literal,
+bound exceeded, unsupported construction) prints `error: …` and exits 2
+rather than escaping as a traceback.
+
+`check-morphism`, `check-comonoid` and `report` print one verdict; its JSON
+form has the keys `what`, `ok` (true, false or "unknown"), `strategy`,
+`checked`, `counterexample` and `checks` (sub-verdicts of the same shape).
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ import json
 import sys
 
 from ..scalars import RPOS, SEMIRINGS, CarrierError, axiom_report, format_scalar
-from ..basedmod import IntegrityError
-from ..linmaps import format_matrix, is_morphism, validate_basis
+from ..basedmod import UNKNOWN, IntegrityError, Verdict
+from ..linmaps import LinMap, format_matrix, is_morphism, validate_basis
 from ..models import (BoundExceeded, ModelError, ProbCohSpace, CoherenceSpace,
                       glue_tight_closure, pcoh_bipolar_member, pcoh_dual,
-                      pcoh_gamma_and_basis, H_embed, F_embed, coherence_module)
+                      pcoh_gamma_and_basis, H_embed, F_embed)
 from ..exponential import (ExponentialError, bang, check_comonoid,
                            promote as exp_promote)
 from .workspace import WorkspaceError, load_workspace, parse_scalars
@@ -26,6 +31,7 @@ from .formulas import ParseError, parse_formula
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
+UNDECIDED = 3
 
 
 def _emit(args, payload: dict, text_lines):
@@ -34,6 +40,11 @@ def _emit(args, payload: dict, text_lines):
     else:
         for line in text_lines:
             print(line)
+
+
+def _verdict(args, v: Verdict) -> int:
+    _emit(args, v.as_json(), v.lines())
+    return 0 if v.ok is True else PROPERTY_FAILURE if v.ok is False else UNDECIDED
 
 
 def _space(ws, name, kind):
@@ -141,13 +152,8 @@ def cmd_check_morphism(args) -> int:
         print(f"no matrix named {args.name!r}", file=sys.stderr)
         return USAGE_ERROR
     mat, src, dst = ws.matrices[args.name]
-    from ..linmaps import LinMap
     f = LinMap(ws.module_named(src), ws.module_named(dst), mat)
-    rep = is_morphism(f)
-    _emit(args, {"ok": rep.ok, "strategy": rep.strategy,
-                 "counterexample": rep.counterexample},
-          ["true" if rep.ok else f"false -- {rep.counterexample}"])
-    return 0 if rep.ok else PROPERTY_FAILURE
+    return _verdict(args, is_morphism(f))
 
 
 def cmd_promote(args) -> int:
@@ -164,54 +170,37 @@ def cmd_check_comonoid(args) -> int:
     ws = load_workspace(args.workspace)
     den = _denote_name(ws, args.name)
     B = bang(den.module, den.basis, args.degree)
-    rep = check_comonoid(B, seed=args.seed)
-    _emit(args, {"ok": rep.ok,
-                 "checks": [{"law": c.law, "passed": c.passed,
-                             "counterexample": c.counterexample}
-                            for c in rep.checks]},
-          rep.lines())
-    return 0 if rep.ok else PROPERTY_FAILURE
+    return _verdict(args, check_comonoid(B, seed=args.seed))
 
 
 def cmd_report(args) -> int:
     ws = load_workspace(args.workspace) if args.workspace else None
-    lines = []
-    ok = True
+    checks = []
     for name, s in SEMIRINGS.items():
         rep = axiom_report(s, samples=30, seed=args.seed)
-        ok = ok and rep.ok
-        lines.append(f"[{'pass' if rep.ok else 'FAIL'}] axioms {name}")
+        checks.append(Verdict(f"axioms {name}", rep.ok, "sampled",
+                              sum(c.checked for c in rep.checks)))
     if ws is not None:
         for name, sp in ws.spaces.items():
             if isinstance(sp, ProbCohSpace):
                 try:
                     good = (pcoh_dual(sp).generators
                             == pcoh_dual(pcoh_dual(pcoh_dual(sp))).generators)
-                except BoundExceeded:
-                    good = True
-                    lines.append(f"[skip] triple-dual {name} (web too large)")
+                except BoundExceeded as exc:
+                    checks.append(Verdict(f"triple-dual {name}", UNKNOWN, "none",
+                                          counterexample=str(exc)))
                 else:
-                    ok = ok and good
-                    lines.append(
-                        f"[{'pass' if good else 'FAIL'}] triple-dual {name}")
+                    checks.append(Verdict(f"triple-dual {name}", good,
+                                          "vertex enumeration", 1))
                 _, basis = pcoh_gamma_and_basis(sp)
-                rep = validate_basis(H_embed(sp), basis)
-                ok = ok and rep.valid
-                lines.append(
-                    f"[{'pass' if rep.valid else 'FAIL'}] basis {name}")
+                checks.append(validate_basis(H_embed(sp), basis))
             elif isinstance(sp, CoherenceSpace):
-                mod, basis = F_embed(sp)
-                rep = validate_basis(mod, basis)
-                ok = ok and rep.valid
-                lines.append(
-                    f"[{'pass' if rep.valid else 'FAIL'}] basis {name}")
+                checks.append(validate_basis(*F_embed(sp)))
         for name, decl in ws.glues.items():
             obj = glue_tight_closure(decl.web, decl.vectors, bound=args.bound)
-            good = obj.is_tight(bound=args.bound)
-            ok = ok and good
-            lines.append(f"[{'pass' if good else 'FAIL'}] tightness {name}")
-    _emit(args, {"ok": ok, "lines": lines}, lines)
-    return 0 if ok else PROPERTY_FAILURE
+            checks.append(Verdict(f"tightness {name}", obj.is_tight(bound=args.bound),
+                                  "enumerated", 1))
+    return _verdict(args, Verdict.all("report", checks))
 
 
 def build_parser() -> argparse.ArgumentParser:

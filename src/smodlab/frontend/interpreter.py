@@ -161,8 +161,8 @@ _COMBINATORS = {"id", "comp", "tensor", "pair", "proj1", "proj2",
 
 def _check(f: LinMap, what: str) -> LinMap:
     rep = is_morphism(f)
-    if not rep.ok:
-        raise InterpretError(f"{what} is not a morphism: {rep.counterexample}")
+    if rep.ok is not True:
+        raise InterpretError(f"{what} is not proved a morphism: {rep}")
     return LinMap(f.src, f.dst, f.matrix, verified=True)
 
 

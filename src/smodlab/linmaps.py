@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .scalars import OMEGA, RPOS, UNDEF, Semiring, format_scalar, parse_scalar
-from .basedmod import (BasedModule, CoherenceP, FreeP, FinitenessP,
-                       IntegrityError, PolytopeP, Vector, Web, WebMismatch,
-                       enumerated_module, free_module, pair_atom, vec,
-                       vec_sum)
+from .basedmod import (UNKNOWN, BasedModule, CoherenceP, FreeP, FinitenessP,
+                       IntegrityError, PolytopeP, Vector, Verdict, Web,
+                       WebMismatch, enumerated_module, free_module, pair_atom,
+                       scalar_action, vec, vec_sum)
 from . import ratlp
 
 
@@ -178,17 +178,7 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
 # morphism checking
 
 
-@dataclass
-class MorphismReport:
-    ok: bool
-    strategy: str
-    counterexample: Optional[str] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_morphism(f: LinMap, max_entries: int = 2) -> MorphismReport:
+def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
     """Presentation-directed linearity check.
 
     Coherence pairs use the clique condition on the linear-function-space
@@ -196,21 +186,23 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> MorphismReport:
     Rpos source (a cone) its rays' images; enumerable carriers are
     checked by bounded brute force (definedness, additivity on defined
     families including ω-repetitions, and action preservation when the
-    semirings coincide).
+    semirings coincide).  Any other source leaves the verdict UNKNOWN,
+    under the strategy "none".
     """
     src, dst = f.src, f.dst
+    what = f"morphism {src.label} -> {dst.label}"
     if isinstance(src.presentation, CoherenceP) and isinstance(dst.presentation, CoherenceP):
         from .models import coherence_lolli
         rel = coherence_lolli(src.presentation.space, dst.presentation.space)
         pairs = [(a, b) for (a, b), v in f.matrix.entries if v == 1]
         if any(v not in (0, 1) for _, v in f.matrix.entries):
-            return MorphismReport(False, "coherence", "non-0/1 entry")
-        for (p, q) in itertools.combinations_with_replacement(pairs, 2):
+            return Verdict(what, False, "coherence", 0, "non-0/1 entry")
+        for n, (p, q) in enumerate(itertools.combinations_with_replacement(pairs, 2), 1):
             if not rel.coherent(pair_atom(*p), pair_atom(*q)):
-                return MorphismReport(False, "coherence",
-                                      f"pairs {p} and {q} violate the "
-                                      "function-space coherence")
-        return MorphismReport(True, "coherence")
+                return Verdict(what, False, "coherence", n,
+                               f"pairs {p} and {q} violate the "
+                               "function-space coherence")
+        return Verdict(what, True, "coherence", len(pairs) * (len(pairs) + 1) // 2)
 
     if dst.semiring.ambient is RPOS:
         # Rational modules use ambient arithmetic, so additivity and the
@@ -218,65 +210,69 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> MorphismReport:
         # the generators suffices.
         gens = src.presentation.polytope(src)
         if gens is not None:
-            for g in gens:
+            for n, g in enumerate(gens, 1):
                 gv = vec(src.web, dict(zip(src.web.atoms, g)))
                 if apply(f, gv) is UNDEF:
-                    return MorphismReport(False, "polytope-generators",
-                                          f"image of generator {gv!r} leaves the polytope")
-            return MorphismReport(True, "polytope-generators")
+                    return Verdict(what, False, "polytope-generators", n,
+                                   f"image of generator {gv!r} leaves the polytope")
+            return Verdict(what, True, "polytope-generators", len(gens))
         if src.semiring is RPOS and isinstance(src.presentation, FreeP):
             # A free Rpos module is the cone R>=0^web, generated by the rays
             # t·δ_a.  An Rpos target holds every multiple of a member (the
             # action is total); a unit-module is bounded, so there a ray
             # must map to zero.
-            for a in src.web.atoms:
+            for n, a in enumerate(src.web.atoms, 1):
                 ray = vec(src.web, {a: 1})
                 img = apply(f, ray)
                 if img is UNDEF or not (dst.semiring is RPOS or img.is_zero()):
-                    return MorphismReport(False, "polytope-generators",
-                                          f"image of the ray through {ray!r} "
-                                          "leaves the target")
-            return MorphismReport(True, "polytope-generators")
+                    return Verdict(what, False, "polytope-generators", n,
+                                   f"image of the ray through {ray!r} "
+                                   "leaves the target")
+            return Verdict(what, True, "polytope-generators", len(src.web))
 
-    carrier = src.carrier_vectors(cap=4096)
+    cap = 4096
+    carrier = src.carrier_vectors(cap=cap)
     if carrier is None:
-        return MorphismReport(False, "none", "carrier not enumerable within bounds")
+        return Verdict(what, UNKNOWN, "none", 0,
+                       f"cut short by its bound: the source carrier is not "
+                       f"enumerable within {cap} vectors")
     images = {}
     for x in carrier:
         y = apply(f, x)
         if y is UNDEF:
-            return MorphismReport(False, "enumerated",
-                                  f"application undefined at {x!r}")
+            return Verdict(what, False, "enumerated", len(images) + 1,
+                           f"application undefined at {x!r}")
         images[x] = y
-    same_semiring = src.semiring is dst.semiring
-    if same_semiring and src.semiring.is_enumerable:
+    checked = len(carrier)
+    if src.semiring is dst.semiring and src.semiring.is_enumerable:
         for r in src.semiring.carrier_elements():
             for x in carrier:
-                from .basedmod import scalar_action
+                checked += 1
                 lhs = images[scalar_action(src, r, x)]
                 rhs = scalar_action(dst, r, images[x])
                 if lhs != rhs:
-                    return MorphismReport(False, "enumerated",
-                                          f"action not preserved at {r}, {x!r}")
+                    return Verdict(what, False, "enumerated", checked,
+                                   f"action not preserved at {r}, {x!r}")
     mults = [1, OMEGA]
     pairs = [(x, m) for x in carrier if not x.is_zero() for m in mults]
     for k in range(2, max_entries + 1):
         for fam in itertools.combinations_with_replacement(pairs, k):
+            checked += 1
             total = vec_sum(src, fam)
             if total is UNDEF:
                 continue
             img_fam = [(images[x], m) for x, m in fam]
             img_total = vec_sum(dst, img_fam)
             if img_total is UNDEF or img_total != images[total]:
-                return MorphismReport(False, "enumerated",
-                                      f"sum not preserved on {fam}")
-    return MorphismReport(True, "enumerated")
+                return Verdict(what, False, "enumerated", checked,
+                               f"sum not preserved on {fam}")
+    return Verdict(what, True, "enumerated", checked)
 
 
 def verify(f: LinMap) -> LinMap:
     rep = is_morphism(f)
-    if not rep.ok:
-        raise IntegrityError(f"not a morphism ({rep.strategy}): {rep.counterexample}")
+    if rep.ok is not True:
+        raise IntegrityError(f"not proved a morphism: {rep}")
     return LinMap(f.src, f.dst, f.matrix, verified=True)
 
 
@@ -331,49 +327,48 @@ def gamma_basis(m: BasedModule, gammas: Optional[dict] = None) -> DualBasis:
                            for a, g in gammas.items()))
 
 
-@dataclass
-class BasisReport:
-    valid: bool
-    orthogonal: bool
-    detail: str = ""
-
-    def __bool__(self):
-        return self.valid
-
-
 def validate_basis(m: BasedModule, b: DualBasis, samples: int = 40,
-                   seed: int = 0) -> BasisReport:
+                   seed: int = 0) -> Verdict:
     """Check reconstruction, linearity of each functional, and orthogonality.
 
     Reconstruction and linearity are checked on the enumerated carrier when
-    possible and on sampled members otherwise.
+    possible and on sampled members otherwise.  The one sub-verdict is the
+    delta condition phi_i(e_j) = delta_{i,j}, which fails the basis only
+    when it claims to be orthogonal.  A functional whose linearity is
+    UNKNOWN leaves the verdict UNKNOWN unless another check fails.
     """
     import random
-    from .basedmod import _sample_vectors, scalar_action
+    from .basedmod import _sample_vectors
+    what = f"basis of {m.label}"
+    undecided = None
     for e, phi in b.pairs:
         if not m.admits(e):
-            return BasisReport(False, False, f"basis vector {e!r} not admitted")
+            return Verdict(what, False, counterexample=f"basis vector {e!r} not admitted")
         rep = is_morphism(phi)
-        if not rep.ok:
-            return BasisReport(False, False,
-                               f"functional for {e!r} is not linear: {rep.counterexample}")
+        if rep.ok is False:
+            return Verdict(what, False, counterexample=f"functional for {e!r} "
+                           f"is not linear: {rep.counterexample}")
+        if rep.ok is UNKNOWN:
+            undecided = f"linearity of the functional for {e!r}: {rep.counterexample}"
     carrier = m.carrier_vectors(cap=2048)
+    strategy = "enumerated"
     if carrier is None:
         carrier = _sample_vectors(m, random.Random(seed), samples)
-    for x in carrier:
+        strategy = "sampled"
+    for n, x in enumerate(carrier, 1):
         fam = []
         for e, phi in b.pairs:
             fx = apply(phi, x)
             if fx is UNDEF:
-                return BasisReport(False, False, f"phi undefined at {x!r}")
+                return Verdict(what, False, strategy, n, f"phi undefined at {x!r}")
             r = scalar_of(fx)
             if r == 0:
                 continue
             fam.append((scalar_action(m, r, e), 1))
         got = vec_sum(m, fam)
         if got is UNDEF or got != x:
-            return BasisReport(False, False,
-                               f"reconstruction failed at {x!r}: got {got!r}")
+            return Verdict(what, False, strategy, n,
+                           f"reconstruction failed at {x!r}: got {got!r}")
     ortho = True
     for i, (ei, _) in enumerate(b.pairs):
         for j, (_, phij) in enumerate(b.pairs):
@@ -384,9 +379,12 @@ def validate_basis(m: BasedModule, b: DualBasis, samples: int = 40,
             r = scalar_of(img)
             if r != (m.semiring.one if i == j else m.semiring.zero):
                 ortho = False
+    delta = (Verdict("orthogonality", ortho, "delta", len(b.pairs) ** 2),)
     if b.orthogonal and not ortho:
-        return BasisReport(False, False, "claimed orthogonal but delta condition fails")
-    return BasisReport(True, ortho)
+        return Verdict(what, False, strategy, len(carrier),
+                       "claimed orthogonal but delta condition fails", delta)
+    return Verdict(what, UNKNOWN if undecided else True, strategy, len(carrier),
+                   undecided, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +458,6 @@ def matrix_as_vector(w: Web, mat: Matrix) -> Vector:
     return vec(w, coords)
 
 
-def vector_as_matrix(v: Vector, src_web: Web, dst_web: Web) -> Matrix:
-    entries = {}
-    for a in src_web.atoms:
-        for b in dst_web.atoms:
-            x = v.value(pair_atom(a, b))
-            if x != 0:
-                entries[(a, b)] = x
-    return Matrix.make(src_web, dst_web, entries)
-
-
 def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
               name: str = ""):
     """Linear-function-space object: morphisms m -> n encoded as matrices."""
@@ -491,6 +479,10 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
                 cons.append(tuple(s.ambient_mul(ga, ub) for ga in g for ub in u))
         mod = BasedModule(s, w, PolytopeP(constraints=tuple(sorted(set(cons)))),
                           name or "⊸")
+    elif s is RPOS and isinstance(mp, FreeP) and isinstance(np_, FreeP):
+        # maps between cones R>=0^m -> R>=0^n are the nonnegative matrices;
+        # over other semirings hom of free modules is not free
+        mod = BasedModule(s, w, FreeP(), name or "⊸")
     else:
         carrier = m.carrier_vectors(cap=512)
         values = None if carrier is None else m.presentation.coordinate_values(s)
@@ -505,8 +497,10 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
         for combo in itertools.product(entry_values, repeat=len(cells)):
             mat = Matrix.make(m.web, n.web,
                               {cell: v for cell, v in zip(cells, combo) if v != 0})
-            cand = LinMap(m, n, mat)
-            if is_morphism(cand).ok:
+            rep = is_morphism(LinMap(m, n, mat))
+            if rep.ok is UNKNOWN:
+                raise NotImplementedError(f"lolli carrier: {rep}")
+            if rep.ok is True:
                 vectors.append(matrix_as_vector(w, mat))
         mod = enumerated_module(s, w, vectors, name=name or "⊸")
 
@@ -593,14 +587,15 @@ def dual_and_eta(m: BasedModule, b: DualBasis) -> DualityReport:
     for a in m.web.atoms:
         entries[(a, pair_atom(pair_atom(a, "*"), "*"))] = s.one
     eta = LinMap(m, ddual, Matrix.make(m.web, ddual.web, entries))
-    eta_ok = is_morphism(eta).ok
     inv = LinMap(ddual, m, eta.matrix.transpose())
-    inv_ok = is_morphism(inv).ok
+    eta_rep, inv_rep = is_morphism(eta), is_morphism(inv)
+    if UNKNOWN in (eta_rep.ok, inv_rep.ok):
+        raise NotImplementedError(f"eta: {eta_rep}; its inverse: {inv_rep}")
 
     iso = False
     mu_eta = False
     detail = ""
-    if eta_ok and inv_ok:
+    if eta_rep.ok is True and inv_rep.ok is True:
         fwd = compose(eta, inv)
         bwd = compose(inv, eta)
         iso = (fwd.matrix == identity_matrix(m.web)

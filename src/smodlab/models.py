@@ -8,7 +8,7 @@ closure over ℕ∞-weighted relations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -141,8 +141,8 @@ def F_map(A: CoherenceSpace, B: CoherenceSpace, rel) -> LinMap:
 
 def F_invert(g: LinMap) -> frozenset:
     """Recover the relation: (a,b) ∈ f ⇔ b ∈ g({a})."""
-    if not g.verified and not is_morphism(g).ok:
-        raise ModelError("F_invert requires a verified morphism")
+    if not g.verified and (rep := is_morphism(g)).ok is not True:
+        raise ModelError(f"F_invert requires a morphism: {rep}")
     return frozenset((a, b) for (a, b), v in g.matrix.entries if v == 1)
 
 
@@ -161,13 +161,6 @@ class FinitenessSpace:
 
     def admits_support(self, support) -> bool:
         return all(a in self.atoms for a in support)
-
-    def supports(self):
-        out = []
-        for r in range(len(self.atoms) + 1):
-            for sup in itertools.combinations(self.atoms, r):
-                out.append(frozenset(sup))
-        return out
 
 
 def fin_dual(supports, web: Web):
@@ -272,8 +265,8 @@ def H_map(P: ProbCohSpace, Q: ProbCohSpace, rows) -> LinMap:
         mat = Matrix.make(src.web, dst.web, entries)
     f = LinMap(src, dst, mat)
     rep = is_morphism(f)
-    if not rep.ok:
-        raise ModelError(f"not a morphism: {rep.counterexample}")
+    if rep.ok is not True:
+        raise ModelError(f"not proved a morphism: {rep}")
     return LinMap(src, dst, mat, verified=True)
 
 

@@ -211,21 +211,6 @@ class Semiring:
         self.check_scalar(b)
         return self._mul_rule(self, a, b)
 
-    def leq(self, a, b) -> bool:
-        """The associated preorder: a <= b iff some z has a + z = b."""
-        self.check_scalar(a)
-        self.check_scalar(b)
-        if self.is_enumerable:
-            for z in self.carrier_elements():
-                if self.sum_family(((a, 1), (z, 1))) == b:
-                    return True
-            return False
-        if b == INF:
-            return True
-        if a == INF:
-            return False
-        return a <= b  # cancellative numeric carriers: z = b - a works
-
     def carrier_elements(self) -> tuple:
         if self.kind == "finite":
             return self.elements

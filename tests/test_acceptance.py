@@ -335,16 +335,17 @@ def test_criterion_9_negative_controls():
     join = lambda fam: 1 if any(v == 1 for v, _ in fam) else 0
     mB = enumerated_module(I, w, (vec(w), vec(w, {"*": 1})), sum_rule=join)
     claimed = DualBasis(((vec(w, {"*": 1}), functional(mB, {"*": 1}, I)),))
-    a = not validate_basis(mB, claimed).valid
+    a = validate_basis(mB, claimed).ok is False
 
     subF = enumerated_module(F, w, (vec(w), vec(w, {"*": 1})),
                              sum_rule=I.sum_family)
     subN = enumerated_module(N, w, (vec(w), vec(w, {"*": 1})),
                              sum_rule=I.sum_family)
-    vF = classify_submodule(subF, free_module(F, w))
-    vN = classify_submodule(subN, free_module(N, w))
-    b = (vF.is_submodule and vF.is_sum_reflecting is False
-         and vN.is_submodule and vN.is_sum_reflecting is True)
+    # sub-verdicts: submodule, sum-reflecting, downward-closed
+    vF = classify_submodule(subF, free_module(F, w)).checks
+    vN = classify_submodule(subN, free_module(N, w)).checks
+    b = (vF[0].ok and vF[1].ok is False
+         and vN[0].ok and vN[1].ok is True)
 
     from smodlab.basedmod import BasedModule, CoherenceP
     A = coherence_space("A", ("a", "b"), [("a", "b")])

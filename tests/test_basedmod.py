@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from smodlab import ratlp
 from smodlab.basedmod import (BasedModule, EnumeratedP, MembershipError,
-                              PolytopeP, UNKNOWN, Vector,
+                              PolytopeP, UNKNOWN, Vector, Verdict,
                               Web, WebMismatch, classify_submodule,
                               coproduct_module, enumerated_module,
                               free_module, preorder_leq_vec, product_module,
@@ -87,18 +87,31 @@ def test_I_inside_F_is_not_sum_reflecting():
     w = web("*")
     sup = free_module(F, w)
     sub = _scalar_submodule(F, (0, 1), sum_rule=I.sum_family)
-    verdict = classify_submodule(sub, sup)
-    assert verdict.is_submodule
-    assert verdict.is_sum_reflecting is False
+    is_submodule, is_sum_reflecting, _ = classify_submodule(sub, sup).checks
+    assert is_submodule.ok is True
+    assert is_sum_reflecting.ok is False
 
 
 def test_I_inside_N_is_sum_reflecting():
     w = web("*")
     sup = free_module(N, w)
     sub = _scalar_submodule(N, (0, 1), sum_rule=I.sum_family)
-    verdict = classify_submodule(sub, sup)
-    assert verdict.is_submodule
-    assert verdict.is_sum_reflecting is True
+    is_submodule, is_sum_reflecting, _ = classify_submodule(sub, sup).checks
+    assert is_submodule.ok is True
+    assert is_sum_reflecting.ok is True
+
+
+def test_unknown_has_no_truth_value():
+    with pytest.raises(TypeError):
+        bool(UNKNOWN)
+
+
+def test_verdict_conjunction_puts_false_before_unknown():
+    t, f, u = (Verdict("part", ok) for ok in (True, False, UNKNOWN))
+    assert Verdict.all("all", (t, t)).ok is True
+    assert Verdict.all("all", (t, u)).ok is UNKNOWN
+    assert Verdict.all("all", (u, f, t)).ok is False
+    assert Verdict.all("all", (u,)).as_json()["ok"] == "unknown"
 
 
 def test_classify_requires_shared_web():

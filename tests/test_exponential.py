@@ -117,7 +117,8 @@ def test_bang_basis_validates():
     m, basis = simplex()
     B = bang(m, basis, 2)
     rep = validate_basis(B.module, bang_basis(B))
-    assert rep.valid and rep.orthogonal
+    orthogonality, = rep.checks
+    assert rep.ok is True and orthogonality.ok is True
 
 
 def test_structure_maps_are_morphisms():

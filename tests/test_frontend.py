@@ -239,6 +239,29 @@ def test_cli_check_comonoid(ws_file):
     assert main(["check-comonoid", ws_file, "P", "--degree", "2"]) == 0
 
 
+def test_cli_check_morphism_cut_short_is_undecided(tmp_path, capsys):
+    p = tmp_path / "n.llw"
+    p.write_text("module M = free(N, web [a, b])\nmatrix ones : M -> M = 1 1; 1 1\n")
+    assert main(["--format", "json", "check-morphism", str(p), "ones"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] == "unknown" and payload["strategy"] == "none"
+
+
+def test_cli_report_counts_a_skipped_triple_dual_as_undecided(tmp_path, capsys):
+    # pcoh_dual refuses webs above 4 atoms (BoundExceeded)
+    p = tmp_path / "big.llw"
+    p.write_text("pcoh P { atoms [a, b, c, d, e]; gen (1, 1, 1, 1, 1); }\n")
+    assert main(["--format", "json", "report", str(p)]) == 3
+    checks = {c["what"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["triple-dual P"] == "unknown" and checks["basis of P"] is True
+
+
+def test_lolli_of_free_rpos_modules_interprets():
+    ws = loads_workspace("module M = free(Rpos, web [a])\nformula L = M -o M\n")
+    den = interpret_formula(ws, ws.formulas["L"])
+    assert den.module.web.atoms == ("(a,a)",)
+
+
 @pytest.mark.parametrize("text", [
     "pcoh P { atoms [a, b]; gen (inf, 1); }\n",
     "module N = free(I, web [a, b])\nmatrix f : N -> N = 2 0; 0 1\n",

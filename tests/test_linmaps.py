@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from smodlab.basedmod import IntegrityError, WebMismatch, vec, web
+from smodlab.basedmod import (UNKNOWN, FreeP, IntegrityError, WebMismatch,
+                              product_module, vec, web)
 from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
                              dual_and_eta, format_matrix, functional,
                              gamma_basis, identity, is_morphism, linmap,
                              lolli_obj, matrix_of, pair_web, parse_matrix,
                              semiring_module, tensor_obj, unit_basis,
-                             validate_basis, zero_map)
+                             validate_basis, verify, zero_map)
 from smodlab.models import (F_embed, H_embed, coherence_module,
                             coherence_space, pcoh_gamma_and_basis,
                             pcoh_space)
-from smodlab.scalars import I, RPOS, UNDEF, UNIT
+from smodlab.scalars import I, N, RPOS, UNDEF, UNIT
 from smodlab.basedmod import free_module
 
 
@@ -126,6 +127,22 @@ def test_is_morphism_free_rpos_source_is_a_cone(dst_semiring, entry, ok):
         assert (image is UNDEF) is not ok
 
 
+def test_is_morphism_cut_short_by_its_bound_is_unknown():
+    # all-ones on free(N, [a, b]) is linear, but N^2 cannot be enumerated
+    m = free_module(N, web("a", "b"))
+    f = linmap(m, m, {(a, b): 1 for a in "ab" for b in "ab"})
+    rep = is_morphism(f)
+    assert rep.ok is UNKNOWN and rep.strategy == "none"
+    with pytest.raises(IntegrityError, match="bound"):
+        verify(f)
+
+
+def test_is_morphism_from_a_product_of_cones_is_unknown():
+    a = free_module(RPOS, web("a"))
+    f = linmap(product_module([a, a]), a, {("0.a", "a"): 1})
+    assert is_morphism(f).ok is UNKNOWN
+
+
 def test_is_morphism_keeps_no_presentation_alive():
     P = pcoh_space("P", ("a", "b"), [(1, 0), (0, 1)])
     m = H_embed(P)
@@ -142,9 +159,9 @@ def test_is_morphism_keeps_no_presentation_alive():
 
 def test_validate_basis_coherence_and_pcoh():
     m, basis = F_embed(coherence_space("A", ("a", "b"), [("a", "b")]))
-    assert validate_basis(m, basis).valid
+    assert validate_basis(m, basis).ok is True
     m2, b2 = simplex_mod()
-    assert validate_basis(m2, b2).valid
+    assert validate_basis(m2, b2).ok is True
 
 
 def test_validate_basis_rejects_fake():
@@ -152,7 +169,7 @@ def test_validate_basis_rejects_fake():
     # functional claiming phi_a = phi_b breaks reconstruction
     wrong = DualBasis(tuple(
         (e, functional(m, {"a": 1})) for e, _ in basis.pairs))
-    assert not validate_basis(m, wrong).valid
+    assert validate_basis(m, wrong).ok is False
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +184,7 @@ def test_tensor_obj_coherence():
     assert t.admits(vec(t.web, {"(a,b)": 1}))
     assert t.admits(vec(t.web, {"(a,a)": 1, "(b,b)": 1}))
     assert not t.admits(vec(t.web, {"(a,a)": 1, "(c,c)": 1}))
-    assert validate_basis(t, tb).valid
+    assert validate_basis(t, tb).ok is True
 
 
 def test_tensor_obj_free_rpos_is_free_rpos():
@@ -178,12 +195,20 @@ def test_tensor_obj_free_rpos_is_free_rpos():
     assert len(tb) == 4
 
 
+def test_lolli_obj_free_rpos_is_free_rpos():
+    # the maps between two cones are the nonnegative matrices
+    m = free_module(RPOS, web("a"))
+    d, db = lolli_obj(m, m, gamma_basis(m), gamma_basis(m))
+    assert isinstance(d.presentation, FreeP) and d.semiring is RPOS
+    assert validate_basis(d, db).ok is True
+
+
 def test_lolli_obj_semiring_dual():
     s_mod = semiring_module(I)
     m = tri_mod()
     mb = F_embed(m.presentation.space)[1]
     d, db = lolli_obj(m, s_mod, mb, unit_basis(I))
-    assert validate_basis(d, db).valid
+    assert validate_basis(d, db).ok is True
 
 
 def test_matrix_of_identity_is_identity():

@@ -79,7 +79,8 @@ def test_F_functor_round_trip():
 def test_F_embed_basis_validates():
     m, basis = F_embed(tri())
     rep = validate_basis(m, basis)
-    assert rep.valid and rep.orthogonal
+    orthogonality, = rep.checks
+    assert rep.ok is True and orthogonality.ok is True
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,8 @@ def test_H_basis_validates():
     S = simplex()
     _, basis = pcoh_gamma_and_basis(S)
     rep = validate_basis(H_embed(S), basis)
-    assert rep.valid and rep.orthogonal
+    orthogonality, = rep.checks
+    assert rep.ok is True and orthogonality.ok is True
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,33 @@ import smodlab
 SOURCE = Path(smodlab.__file__).resolve().parent
 
 
-def test_no_assert_statements_in_the_library():
-    # `python -O` strips asserts: invariants must raise typed errors
+def _library_nodes(matches):
+    """`path:line` of every syntax node under the library that `matches`."""
     found = []
     for path in sorted(SOURCE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.relative_to(SOURCE)}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                  for node in ast.walk(tree) if matches(node)]
+    return found
+
+
+def test_no_assert_statements_in_the_library():
+    # `python -O` strips asserts: invariants must raise typed errors
+    found = _library_nodes(lambda node: isinstance(node, ast.Assert))
+    assert not found, found
+
+
+def _catches_everything(node) -> bool:
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+               for t in types)
+
+
+def test_no_catch_all_handlers_in_the_library():
+    # a catch-all turns any bug into an ordinary verdict like "not a member"
+    found = _library_nodes(_catches_everything)
     assert not found, found
