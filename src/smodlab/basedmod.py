@@ -285,8 +285,10 @@ class FinitenessP(Presentation):
 class PolytopeP(Presentation):
     """Non-negative rational vectors in a polytope over a [0,1] action.
 
-    Carried either by generators (membership = exact bipolar via the LP
-    oracle) or by constraint vectors (membership = all pairings <= 1).
+    Carried by generators, by constraint vectors, or by both (the
+    generators of a polytope and the vertices of its polar).  Membership is
+    all pairings with the constraints <= 1 when they are present, else the
+    exact bipolar LP on the generators.
     """
 
     generators: Optional[tuple] = None   # tuples of Fractions, web order
@@ -303,12 +305,14 @@ class PolytopeP(Presentation):
         coords = v.as_tuple()
         if any(not isinstance(x, (int, Fraction)) or x < 0 for x in coords):
             return False
-        coords = tuple(Fraction(x) for x in coords)
-        if self.generators is not None:
-            return ratlp.in_bipolar(self.generators, coords)
-        return all(
-            sum(c * x for c, x in zip(con, coords)) <= 1
-            for con in self.constraints)
+        return self.contains(tuple(Fraction(x) for x in coords))
+
+    def contains(self, coords) -> bool:
+        """Membership of a non-negative rational tuple in web order."""
+        if self.constraints is not None:
+            return all(sum(c * x for c, x in zip(con, coords)) <= 1
+                       for con in self.constraints)
+        return ratlp.in_bipolar(self.generators, coords)
 
     def coord_sum(self, module, fam):
         # bound enforced by membership, not per-coordinate

@@ -17,6 +17,7 @@ import json
 import sys
 
 from ..scalars import RPOS, SEMIRINGS, CarrierError, axiom_report, format_scalar
+from ..ratlp import VERTEX_BOUND
 from ..basedmod import UNKNOWN, IntegrityError, Verdict
 from ..linmaps import LinMap, format_matrix, is_morphism, validate_basis
 from ..models import (BoundExceeded, ModelError, ProbCohSpace, CoherenceSpace,
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="dual of a probabilistic coherence space")
     p.add_argument("workspace")
     p.add_argument("name")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, default=VERTEX_BOUND)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("bipolar", help="bipolar membership query")

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from ..scalars import NINF, RPOS, SEMIRINGS, CarrierError, Semiring, parse_scalar
 from ..basedmod import BasedModule, Web, free_module
-from ..linmaps import Matrix, parse_matrix
-from ..models import (CoherenceSpace, FinitenessSpace, GlueObject,
+from ..linmaps import parse_matrix
+from ..models import (CoherenceSpace, FinitenessSpace,
                       ModelError, ProbCohSpace, coherence_space,
                       coherence_module, finiteness_module, pcoh_space,
                       H_embed)

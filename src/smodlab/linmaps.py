@@ -178,6 +178,21 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
 # morphism checking
 
 
+CARRIER_CAP = 4096
+
+
+def _spanning_members(m: BasedModule):
+    """Members that settle a linear map, or a basis, on all of m: the
+    generators of a polytope (only rational modules have one), or the rays
+    δ_a of a free Rpos module (the cone R>=0^web).  None for any other."""
+    gens = m.presentation.polytope(m)
+    if gens is not None:
+        return [vec(m.web, dict(zip(m.web.atoms, g))) for g in gens]
+    if m.semiring is RPOS and isinstance(m.presentation, FreeP):
+        return [vec(m.web, {a: 1}) for a in m.web.atoms]
+    return None
+
+
 def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
     """Presentation-directed linearity check.
 
@@ -204,38 +219,24 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
                                "function-space coherence")
         return Verdict(what, True, "coherence", len(pairs) * (len(pairs) + 1) // 2)
 
-    if dst.semiring.ambient is RPOS:
+    if dst.semiring.ambient is RPOS and (gens := _spanning_members(src)) is not None:
         # Rational modules use ambient arithmetic, so additivity and the
         # scalar action hold entry-wise; membership is convex, so checking
-        # the generators suffices.
-        gens = src.presentation.polytope(src)
-        if gens is not None:
-            for n, g in enumerate(gens, 1):
-                gv = vec(src.web, dict(zip(src.web.atoms, g)))
-                if apply(f, gv) is UNDEF:
-                    return Verdict(what, False, "polytope-generators", n,
-                                   f"image of generator {gv!r} leaves the polytope")
-            return Verdict(what, True, "polytope-generators", len(gens))
-        if src.semiring is RPOS and isinstance(src.presentation, FreeP):
-            # A free Rpos module is the cone R>=0^web, generated by the rays
-            # t·δ_a.  An Rpos target holds every multiple of a member (the
-            # action is total); a unit-module is bounded, so there a ray
-            # must map to zero.
-            for n, a in enumerate(src.web.atoms, 1):
-                ray = vec(src.web, {a: 1})
-                img = apply(f, ray)
-                if img is UNDEF or not (dst.semiring is RPOS or img.is_zero()):
-                    return Verdict(what, False, "polytope-generators", n,
-                                   f"image of the ray through {ray!r} "
-                                   "leaves the target")
-            return Verdict(what, True, "polytope-generators", len(src.web))
+        # the generators suffices.  An Rpos source holds every t·g, which
+        # a bounded (unit) target holds only when g's image is zero.
+        bounded = src.semiring is RPOS and dst.semiring is not RPOS
+        for n, g in enumerate(gens, 1):
+            img = apply(f, g)
+            if img is UNDEF or (bounded and not img.is_zero()):
+                return Verdict(what, False, "polytope-generators", n,
+                               f"image of generator {g!r} leaves the target")
+        return Verdict(what, True, "polytope-generators", len(gens))
 
-    cap = 4096
-    carrier = src.carrier_vectors(cap=cap)
+    carrier = src.carrier_vectors(cap=CARRIER_CAP)
     if carrier is None:
         return Verdict(what, UNKNOWN, "none", 0,
                        f"cut short by its bound: the source carrier is not "
-                       f"enumerable within {cap} vectors")
+                       f"enumerable within {CARRIER_CAP} vectors")
     images = {}
     for x in carrier:
         y = apply(f, x)
@@ -327,18 +328,18 @@ def gamma_basis(m: BasedModule, gammas: Optional[dict] = None) -> DualBasis:
                            for a, g in gammas.items()))
 
 
-def validate_basis(m: BasedModule, b: DualBasis, samples: int = 40,
-                   seed: int = 0) -> Verdict:
+def validate_basis(m: BasedModule, b: DualBasis) -> Verdict:
     """Check reconstruction, linearity of each functional, and orthogonality.
 
-    Reconstruction and linearity are checked on the enumerated carrier when
-    possible and on sampled members otherwise.  The one sub-verdict is the
-    delta condition phi_i(e_j) = delta_{i,j}, which fails the basis only
-    when it claims to be orthogonal.  A functional whose linearity is
-    UNKNOWN leaves the verdict UNKNOWN unless another check fails.
+    Reconstruction is linear, so it is proved on the generators or rays and
+    one multiple of each axis, which span the carrier; a functional peaks at
+    a generator, so definedness there covers the carrier.  Otherwise the
+    carrier is enumerated within `CARRIER_CAP` vectors, or the verdict is
+    UNKNOWN.  The one sub-verdict is the delta condition phi_i(e_j) =
+    delta_{i,j}, which fails the basis only when it claims to be orthogonal.
+    A functional whose linearity is UNKNOWN leaves the verdict UNKNOWN
+    unless another check fails.
     """
-    import random
-    from .basedmod import _sample_vectors
     what = f"basis of {m.label}"
     undecided = None
     for e, phi in b.pairs:
@@ -350,11 +351,19 @@ def validate_basis(m: BasedModule, b: DualBasis, samples: int = 40,
                            f"is not linear: {rep.counterexample}")
         if rep.ok is UNKNOWN:
             undecided = f"linearity of the functional for {e!r}: {rep.counterexample}"
-    carrier = m.carrier_vectors(cap=2048)
-    strategy = "enumerated"
-    if carrier is None:
-        carrier = _sample_vectors(m, random.Random(seed), samples)
-        strategy = "sampled"
+    carrier = _spanning_members(m)
+    if carrier is not None:
+        strategy = "polytope-generators"
+        axes = (vec(m.web, {a: max(g.value(a) for g in carrier)})
+                for a in m.web.atoms)
+        carrier = list(dict.fromkeys(carrier + [x for x in axes if not x.is_zero()]))
+    else:
+        strategy = "enumerated"
+        carrier = m.carrier_vectors(cap=CARRIER_CAP)
+        if carrier is None:
+            return Verdict(what, UNKNOWN, "none", 0,
+                           f"cut short by its bound: the carrier is not "
+                           f"enumerable within {CARRIER_CAP} vectors")
     for n, x in enumerate(carrier, 1):
         fam = []
         for e, phi in b.pairs:

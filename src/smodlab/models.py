@@ -7,6 +7,7 @@ closure over ℕ∞-weighted relations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,6 +197,12 @@ class ProbCohSpace:
         idx = self.atoms.index(a)
         return max(g[idx] for g in self.generators)
 
+    @functools.cached_property
+    def polar(self) -> tuple:
+        """Irredundant generators of P⊥, enumerated once per space.  Kept in
+        the instance `__dict__`, so it takes no part in ==, hash or repr."""
+        return tuple(ratlp.pruned_polar(self.generators, len(self.atoms)))
+
 
 def pcoh_space(name: str, atoms, generators) -> ProbCohSpace:
     atoms = tuple(atoms)
@@ -216,26 +223,33 @@ def pcoh_space(name: str, atoms, generators) -> ProbCohSpace:
     return ProbCohSpace(name, atoms, tuple(canon))
 
 
+def _carrier(P: ProbCohSpace) -> PolytopeP:
+    """P as a polytope.  P = P⊥⊥, so within the vertex bound membership is
+    a pairing with each vertex of P⊥; beyond it, one exact LP per query."""
+    if len(P.atoms) > ratlp.VERTEX_BOUND:
+        return PolytopeP(generators=P.generators)
+    return PolytopeP(generators=P.generators, constraints=P.polar)
+
+
 def pcoh_bipolar_member(P: ProbCohSpace, u) -> bool:
     u = tuple(Fraction(x) for x in u)
     if len(u) != len(P.atoms):
         raise WebMismatch("vector length does not match the web")
     if any(x < 0 for x in u):
         raise ModelError(f"negative coordinate in {u}")
-    return ratlp.in_bipolar(P.generators, u)
+    return _carrier(P).contains(u)
 
 
-def pcoh_dual(P: ProbCohSpace, bound: int = 4) -> ProbCohSpace:
+def pcoh_dual(P: ProbCohSpace, bound: int = ratlp.VERTEX_BOUND) -> ProbCohSpace:
     if len(P.atoms) > bound:
         raise BoundExceeded(
             f"dual generator enumeration refused at web size {len(P.atoms)} "
             f"(bound {bound}); membership queries remain available")
-    canon = ratlp.pruned_polar(P.generators, len(P.atoms))
-    return ProbCohSpace(f"{P.name}^", P.atoms, tuple(canon))
+    return ProbCohSpace(f"{P.name}^", P.atoms, P.polar)
 
 
 def H_embed(P: ProbCohSpace) -> BasedModule:
-    return BasedModule(UNIT, P.web, PolytopeP(generators=P.generators), P.name)
+    return BasedModule(UNIT, P.web, _carrier(P), P.name)
 
 
 def pcoh_gamma_and_basis(P: ProbCohSpace):

@@ -10,7 +10,8 @@ entry points are
 * `pruned_polar(gens, dim)` -- those vertices with the dominated ones
   dropped: irredundant generators of the polar polytope.
 
-All are deliberately simple: webs are bounded (default 4) by the caller.
+All are deliberately simple: vertices are enumerated only within
+`VERTEX_BOUND` atoms, where membership pairs with the polar's vertices.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 Vec = Sequence[Fraction]
+
+VERTEX_BOUND = 4
 
 
 def _simplex_max(c, A, b):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 import random
 
 import pytest
@@ -254,6 +255,12 @@ def test_cli_report_counts_a_skipped_triple_dual_as_undecided(tmp_path, capsys):
     assert main(["--format", "json", "report", str(p)]) == 3
     checks = {c["what"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["triple-dual P"] == "unknown" and checks["basis of P"] is True
+
+
+def test_cli_report_proves_the_pcoh_basis_on_its_generators(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demo.llw"
+    assert main(["report", str(demo)]) == 0
+    assert "basis of P (polytope-generators, 2 checked)" in capsys.readouterr().out
 
 
 def test_lolli_of_free_rpos_modules_interprets():

@@ -172,6 +172,26 @@ def test_validate_basis_rejects_fake():
     assert validate_basis(m, wrong).ok is False
 
 
+def test_validate_basis_rejects_doubled_functionals_over_pcoh():
+    m, basis = simplex_mod()
+    doubled = DualBasis(tuple(
+        (e, functional(m, {a: 2 * v for (a, _), v in phi.matrix.entries}))
+        for e, phi in basis.pairs))
+    assert validate_basis(m, doubled).ok is False
+
+
+def test_validate_basis_checks_reconstruction_off_the_generators():
+    # x ↦ (x_a + x_b)/2 · (δ_a + δ_b) fixes the box's one generator (1, 1)
+    # but not its member (1, 0)
+    m = H_embed(pcoh_space("Bx", ("a", "b"), [(1, 1)]))
+    half = Fraction(1, 2)
+    mean = DualBasis(tuple((vec(m.web, {a: 1}),
+                            functional(m, {"a": half, "b": half}))
+                           for a in m.web.atoms), orthogonal=False)
+    rep = validate_basis(m, mean)
+    assert rep.ok is False and rep.strategy == "polytope-generators"
+
+
 # ---------------------------------------------------------------------------
 # tensor / lolli / duality
 

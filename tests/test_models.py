@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from smodlab.basedmod import Web, vec, vec_sum, web
+from smodlab import ratlp
+from smodlab.basedmod import Web, WebMismatch, vec, vec_sum, web
 from smodlab.linmaps import apply, is_morphism, matrix_of, validate_basis
 from smodlab.models import (BoundExceeded, CoherenceSpace, F_embed, F_invert,
                             F_map, FinitenessSpace, ModelError,
@@ -145,6 +148,31 @@ def test_pcoh_bipolar_member():
     assert not pcoh_bipolar_member(S, (Fraction(1, 2), Fraction(3, 4)))
     with pytest.raises(ModelError):
         pcoh_bipolar_member(S, (Fraction(-1, 2), 0))
+
+
+_QUARTERS = st.integers(min_value=0, max_value=8).map(lambda k: Fraction(k, 4))
+_TWELFTHS = st.integers(min_value=0, max_value=18).map(lambda k: Fraction(k, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda dim: st.tuples(
+    st.lists(st.tuples(*[_QUARTERS] * dim), min_size=1, max_size=4),
+    st.lists(st.tuples(*[_TWELFTHS] * dim), min_size=1, max_size=6))))
+def test_pcoh_membership_by_polar_matches_the_lp(case):
+    # 5 atoms lies beyond the vertex bound, where membership is the LP itself
+    gens, points = case
+    dim = len(gens[0])
+    assume(all(any(g[i] for g in gens) for i in range(dim)))
+    P = pcoh_space("P", tuple(f"x{i}" for i in range(dim)), gens)
+    m = H_embed(P)
+    for u in points:
+        want = ratlp.in_bipolar(P.generators, u)
+        assert m.admits(vec(m.web, dict(zip(m.web.atoms, u)))) == want
+        assert pcoh_bipolar_member(P, u) == want
+    with pytest.raises(ModelError):
+        pcoh_bipolar_member(P, (Fraction(-1, 4),) + points[0][1:])
+    with pytest.raises(WebMismatch):
+        pcoh_bipolar_member(P, points[0] + (0,))
 
 
 def test_H_map_accepts_and_rejects():

@@ -36,3 +36,30 @@ def test_no_catch_all_handlers_in_the_library():
     # a catch-all turns any bug into an ordinary verdict like "not a member"
     found = _library_nodes(_catches_everything)
     assert not found, found
+
+
+def _unused_imports(tree) -> list:
+    """Names an import binds that the module never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_unused_imports_in_the_library():
+    # `__init__` modules import to re-export, so they are left out
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(SOURCE)}:{line} {name}"
+                  for line, name in _unused_imports(tree)]
+    assert not found, found
