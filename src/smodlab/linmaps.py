@@ -482,7 +482,10 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
     elif ((gm := mp.polytope(m)) is not None
           and (gn := np_.polytope(n)) is not None):
         cons = []
-        dual_n = ratlp.pruned_polar(gn, len(n.web))
+        # constraints, when held, are generators of the target's polar
+        dual_n = np_.constraints if isinstance(np_, PolytopeP) else None
+        if dual_n is None:
+            dual_n = ratlp.pruned_polar(gn, len(n.web))
         for g in gm:
             for u in dual_n:
                 cons.append(tuple(s.ambient_mul(ga, ub) for ga in g for ub in u))

@@ -86,10 +86,11 @@ _RATIONAL_KINDS = ("unit", "rpos")
 
 
 def normalize_family(fam) -> Family:
-    """Merge equal-valued entries (ω absorbs finite counts) and drop zeros-free noise.
+    """Merge equal-valued entries (ω absorbs finite counts) and drop zeros.
 
     Zero-valued entries are kept out of the normal form; by the unit and
-    permutation axioms they never change a sum.
+    permutation axioms they never change a sum.  Raises ValueError on a
+    multiplicity that is neither a positive int nor OMEGA.
     """
     # families are small, so a linear merge on equality beats hashing
     # (Fraction.__hash__ is far more expensive than Fraction.__eq__)
@@ -113,13 +114,25 @@ def normalize_family(fam) -> Family:
     return tuple(zip(values, counts))
 
 
+#: carrier membership of the infinite kinds; a finite carrier is its
+#: `elements`.  Fraction is ABC-registered, making isinstance slow on hot paths
+_CARRIERS = {
+    "nat": lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 0,
+    "nat_inf": lambda x: x == INF or (isinstance(x, int) and not isinstance(x, bool)
+                                      and x >= 0),
+    "unit": lambda x: (type(x) is Fraction or type(x) is int) and 0 <= x <= 1,
+    "rpos": lambda x: (type(x) is Fraction or type(x) is int) and x >= 0,
+}
+
+
 @dataclass(frozen=True)
 class Semiring:
     """Descriptor of a Σ-semiring: carrier, partial family-sum, total product.
 
-    ``ambient_mul(a, b)``, ``ambient_sum(terms)`` (a value or UNDEF) and
-    ``ambient_inv(x)`` are the arithmetic of matrix entries and module
-    coordinates; ``ambient`` is the semiring of their carrier.
+    ``contains(x)`` is carrier membership.  ``ambient_mul(a, b)``,
+    ``ambient_sum(terms)`` (a value or UNDEF) and ``ambient_inv(x)`` are the
+    arithmetic of matrix entries and module coordinates; ``ambient`` is the
+    semiring of their carrier.
     """
 
     name: str
@@ -134,6 +147,17 @@ class Semiring:
     base: Optional["Semiring"] = None  # for naive completions
 
     def __post_init__(self):
+        # `contains(x)`: carrier membership, chosen once per kind
+        if self.kind == "finite":
+            contains = self.elements.__contains__
+        elif self.kind == "completed":
+            base = self.base.contains
+            contains = lambda x: x is INF or x == INF or base(x)  # noqa: E731
+        elif self.kind in _CARRIERS:
+            contains = _CARRIERS[self.kind]
+        else:
+            raise ValueError(f"unknown semiring kind {self.kind!r}")
+        object.__setattr__(self, "contains", contains)
         # The ambient arithmetic of matrix entries, chosen once: exact Q>=0
         # for the rational kinds, whose bounds are enforced by membership of
         # results rather than per entry (no carrier check, no merge step);
@@ -144,24 +168,10 @@ class Semiring:
             ops = (partial(self._mul_rule, self), self._own_sum, self._own_inv)
         for name, op in zip(("ambient_mul", "ambient_sum", "ambient_inv"), ops):
             object.__setattr__(self, name, op)
+        # a shipped rule over its own kind sums the raw family in one pass
+        object.__setattr__(self, "_one_pass", _ONE_PASS.get(self._sum_rule) == self.kind)
 
     # -- carrier ---------------------------------------------------------
-
-    def contains(self, x) -> bool:
-        if self.kind == "finite":
-            return x in self.elements
-        if self.kind == "completed":
-            return x is INF or x == INF or self.base.contains(x)
-        if self.kind == "nat":
-            return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-        if self.kind == "nat_inf":
-            return x == INF or (isinstance(x, int) and not isinstance(x, bool) and x >= 0)
-        if self.kind == "unit":
-            # Fraction is ABC-registered, making isinstance slow on hot paths
-            return (type(x) is Fraction or type(x) is int) and 0 <= x <= 1
-        if self.kind == "rpos":
-            return (type(x) is Fraction or type(x) is int) and x >= 0
-        raise AssertionError(self.kind)
 
     def check_scalar(self, x):
         if not self.contains(x):
@@ -173,10 +183,14 @@ class Semiring:
         """Partial sum of a finitely-presented countable family.
 
         Returns a carrier element or UNDEF.  Raises CarrierError on values
-        outside the carrier (a usage error, distinct from UNDEF).
+        outside the carrier (a usage error, distinct from UNDEF), else
+        ValueError on a bad multiplicity.  A shipped rule checks and sums
+        the raw family in one pass; any other rule gets the normal form.
         """
         if type(fam) is not tuple:
             fam = tuple(fam)
+        if self._one_pass:
+            return self._sum_rule(self, fam)
         contains = self.contains
         for v, _ in fam:
             if not contains(v):
@@ -252,66 +266,115 @@ class Semiring:
 # sum / product rules
 
 
+def _reject(s, fam):
+    """Raise the error of the ordered check on a family that a one-pass rule
+    refused: a value outside the carrier comes before a bad multiplicity."""
+    for v, _ in fam:
+        s.check_scalar(v)
+    normalize_family(fam)
+    raise ValueError(f"malformed family {fam!r}")
+
+
+# The shipped rules below are additive in multiplicity, so none needs the
+# merge step: each takes the raw family and, in one pass, checks every value
+# against the carrier, checks every multiplicity and accumulates the sum.  A
+# multiplicity is bad unless it is OMEGA or an int >= 1 (as in
+# normalize_family); `type(m) is int` spares the isinstance call.
+
+
+def _ones(s, fam):
+    """Finite count of 1s and whether some 1 repeats ω times, over a finite carrier."""
+    elements = s.elements
+    ones = 0
+    omega = False
+    for v, m in fam:
+        if v not in elements or m is not OMEGA and (
+                type(m) is not int and not isinstance(m, int) or m < 1):
+            _reject(s, fam)
+        if v == 1:
+            if m is OMEGA:
+                omega = True
+            else:
+                ones += m
+    return ones, omega
+
+
 def _sum_I(s, fam):
     # at most one 1 in total; an omega-repeated 1 is infinitely many
-    total = 0
-    for v, m in fam:
-        if v == 1:
-            if m is OMEGA or total + m > 1:
-                return UNDEF
-            total += m
-    return total
+    ones, omega = _ones(s, fam)
+    return UNDEF if omega or ones > 1 else ones
 
 
 def _sum_B(s, fam):
-    return 1 if any(v == 1 for v, _ in fam) else 0
+    ones, omega = _ones(s, fam)
+    return 1 if omega or ones else 0
 
 
 def _sum_F(s, fam):
-    for v, m in fam:
-        if v == 1 and m is OMEGA:
-            return UNDEF
-    return 1 if any(v == 1 for v, _ in fam) else 0
+    ones, omega = _ones(s, fam)
+    return UNDEF if omega else (1 if ones else 0)
 
 
 def _sum_nat(s, fam):
     total = 0
+    undef = False
     for v, m in fam:
-        if m is OMEGA and v != 0:
-            return UNDEF
-        total += v * m
-    return total
+        if not (type(v) is int and v >= 0 or s.contains(v)) or m is not OMEGA and (
+                type(m) is not int and not isinstance(m, int) or m < 1):
+            _reject(s, fam)
+        if m is OMEGA:
+            undef = undef or v != 0
+        else:
+            total += v * m
+    return UNDEF if undef else total
 
 
 def _sum_nat_inf(s, fam):
     total = 0
+    inf = False
     for v, m in fam:
-        if v == INF or (m is OMEGA and v != 0):
-            return INF
-        total += v * m
-    return total
+        if v is INF:
+            inf = True
+        elif not (type(v) is int and v >= 0 or s.contains(v)):
+            _reject(s, fam)
+        if m is OMEGA:
+            inf = inf or v != 0
+        elif type(m) is not int and not isinstance(m, int) or m < 1:
+            _reject(s, fam)
+        elif not inf:
+            total += v * m
+    return INF if inf else total
+
+
+def _q_terms(s, fam, bounded):
+    """Numerator and denominator of the sum of a family of rationals >= 0,
+    each at most 1 when `bounded`; None when a nonzero value repeats ω times."""
+    num, den = 0, 1
+    undef = False
+    for v, m in fam:
+        if type(v) is not Fraction and type(v) is not int:
+            _reject(s, fam)
+        vn, vd = v.as_integer_ratio()
+        if vn < 0 or bounded and vn > vd or m is not OMEGA and (
+                type(m) is not int and not isinstance(m, int) or m < 1):
+            _reject(s, fam)
+        if m is OMEGA:
+            undef = undef or vn != 0
+        elif vd == den:
+            num += vn * m
+        else:
+            num, den = num * vd + vn * m * den, den * vd
+    return None if undef else (num, den)
 
 
 def _sum_unit(s, fam):
-    total = Fraction(0)
-    for v, m in fam:
-        if m is OMEGA:
-            if v != 0:
-                return UNDEF
-            continue
-        total += v * m
-    return UNDEF if total > 1 else total
+    terms = _q_terms(s, fam, True)
+    return UNDEF if terms is None or terms[0] > terms[1] else Fraction(*terms)
 
 
 def _sum_rpos(s, fam):
-    total = Fraction(0)
-    for v, m in fam:
-        if m is OMEGA:
-            if v != 0:
-                return UNDEF
-            continue
-        total += v * m
-    return total
+    terms = _q_terms(s, fam, False)
+    return UNDEF if terms is None else Fraction(*terms)
 
 
 def _sum_completed(s, fam):
@@ -320,6 +383,10 @@ def _sum_completed(s, fam):
     base = s.base.sum_family(fam)
     return INF if base is UNDEF else base
 
+
+#: the shipped sum rules, each with the kind whose carrier it checks
+_ONE_PASS = {_sum_I: "finite", _sum_B: "finite", _sum_F: "finite", _sum_nat: "nat",
+             _sum_nat_inf: "nat_inf", _sum_unit: "unit", _sum_rpos: "rpos"}
 
 _Q_ZERO = Fraction(0)
 

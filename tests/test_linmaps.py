@@ -249,3 +249,26 @@ def test_dual_and_eta_pcoh():
     m, basis = simplex_mod()
     rep = dual_and_eta(m, basis)
     assert rep.eta_iso and rep.mu_eta_identity
+
+
+def test_lolli_obj_reuses_the_polar_an_embedded_target_holds(monkeypatch):
+    from smodlab import ratlp
+    from smodlab.basedmod import BasedModule, PolytopeP
+    calls = []
+    polar_vertices = ratlp.polar_vertices
+
+    def counting(gens, dim):
+        calls.append(dim)
+        return polar_vertices(gens, dim)
+
+    monkeypatch.setattr(ratlp, "polar_vertices", counting)
+    P = pcoh_space("P", ("a", "b", "c"), [(1, 0, 1), (0, 1, 1)])
+    Q = pcoh_space("Q", ("x", "y"), [(1, 1)])
+    m, bm = H_embed(P), pcoh_gamma_and_basis(P)[1]
+    n, bn = H_embed(Q), pcoh_gamma_and_basis(Q)[1]
+    lol, _ = lolli_obj(m, n, bm, bn)
+    assert len(calls) == 2  # one polar per H_embed, none for the lolli
+    # the target by its generators alone: the same constraints, one more polar
+    bare = BasedModule(n.semiring, n.web, PolytopeP(generators=Q.generators))
+    assert lolli_obj(m, bare, bm, bn)[0].presentation == lol.presentation
+    assert len(calls) == 3

@@ -1,15 +1,16 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smodlab.scalars import (B, F, I, INF, N, NINF, OMEGA, RPOS, SEMIRINGS,
-                             UNDEF, UNIT, CarrierError, axiom_report,
-                             broken_F, format_scalar, naive_complete,
-                             normalize_family, parse_scalar)
+                             UNDEF, UNIT, CarrierError, Semiring,
+                             axiom_report, broken_F, format_scalar,
+                             naive_complete, normalize_family, parse_scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +128,152 @@ def test_broken_F_fails_subfamily_definedness():
     assert not rep.ok
     failed = {c.axiom for c in rep.checks if not c.passed}
     assert "subfamily definedness" in failed
+    assert [(c.axiom, c.passed, c.checked) for c in rep.checks] == [
+        ("unit", True, 5), ("permutation/merge invariance", True, 1815),
+        ("subfamily definedness", False, 17),
+        ("finite-partition associativity", False, 20), ("distributivity", True, 900)]
 
 
 def test_naive_completion_of_I_passes_axioms():
     s = naive_complete(I)
     assert s.is_complete
     assert s.sum(1, 1) is INF
-    assert axiom_report(s).ok
+    rep = axiom_report(s)
+    assert rep.ok
+    assert [c.checked for c in rep.checks] == [7, 6860, 30129, 30129, 6400]
     assert naive_complete(s) is s
     assert naive_complete(NINF) is NINF
+
+
+def _normal_form_path(s: Semiring) -> Semiring:
+    """`s` with its rule wrapped: not a shipped rule, so every sum takes the
+    ordered carrier check and the normal form."""
+    rule = s._sum_rule
+    return dataclasses.replace(s, _sum_rule=lambda t, fam: rule(t, fam))
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_axiom_report_is_the_same_on_the_normal_form_path(name):
+    s = SEMIRINGS[name]
+    slow = _normal_form_path(s)
+    assert s._one_pass and not slow._one_pass
+    fields = [[(c.axiom, c.passed, c.checked, c.counterexample) for c in
+               axiom_report(t, max_entries=3, max_mult=2, samples=8).checks]
+              for t in (s, slow)]
+    assert fields[0] == fields[1]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass sums against the normal-form rules they replaced
+
+
+def _ref_I(fam):
+    total = 0
+    for v, m in fam:
+        if v == 1:
+            if m is OMEGA or total + m > 1:
+                return UNDEF
+            total += m
+    return total
+
+
+def _ref_B(fam):
+    return 1 if any(v == 1 for v, _ in fam) else 0
+
+
+def _ref_F(fam):
+    for v, m in fam:
+        if v == 1 and m is OMEGA:
+            return UNDEF
+    return 1 if any(v == 1 for v, _ in fam) else 0
+
+
+def _ref_nat(fam):
+    total = 0
+    for v, m in fam:
+        if m is OMEGA and v != 0:
+            return UNDEF
+        total += v * m
+    return total
+
+
+def _ref_nat_inf(fam):
+    total = 0
+    for v, m in fam:
+        if v == INF or (m is OMEGA and v != 0):
+            return INF
+        total += v * m
+    return total
+
+
+def _ref_rpos(fam):
+    total = Fraction(0)
+    for v, m in fam:
+        if m is OMEGA:
+            if v != 0:
+                return UNDEF
+            continue
+        total += v * m
+    return total
+
+
+def _ref_unit(fam):
+    total = _ref_rpos(fam)
+    return UNDEF if total is not UNDEF and total > 1 else total
+
+
+REFERENCE_RULES = {"I": _ref_I, "B": _ref_B, "F": _ref_F, "N": _ref_nat,
+                   "Ninf": _ref_nat_inf, "unit": _ref_unit, "Rpos": _ref_rpos}
+
+#: values outside some carrier: each semiring's own check decides
+OUTSIDERS = (-1, 2, Fraction(3, 2), Fraction(-1, 2), True, INF, "x")
+CARRIER_VALUES = {
+    "I": st.sampled_from((0, 1)), "B": st.sampled_from((0, 1)),
+    "F": st.sampled_from((0, 1)), "N": st.integers(0, 5),
+    "Ninf": st.one_of(st.integers(0, 5), st.just(INF)),
+    "unit": st.fractions(0, 1, max_denominator=6),
+    "Rpos": st.one_of(st.integers(0, 3), st.fractions(0, 3, max_denominator=6)),
+}
+MULTIPLICITIES = st.one_of(st.integers(1, 3), st.just(OMEGA),
+                           st.sampled_from((0, -1, "x", True)))
+
+
+def _outcome(f, *args):
+    try:
+        got = f(*args)
+    except (CarrierError, ValueError) as err:
+        return type(err), str(err)
+    return type(got), got
+
+
+def _reference_sum(s, fam):
+    for v, _ in fam:
+        s.check_scalar(v)
+    return REFERENCE_RULES[s.name](normalize_family(fam))
+
+
+def _families(name):
+    value = st.one_of(CARRIER_VALUES[name], CARRIER_VALUES[name],
+                      st.sampled_from(OUTSIDERS))
+    return st.lists(st.tuples(value, MULTIPLICITIES), max_size=5).map(tuple)
+
+
+@given(st.sampled_from(sorted(SEMIRINGS)).flatmap(
+    lambda name: st.tuples(st.just(name), _families(name))))
+# a value outside the carrier is reported before a bad multiplicity
+@example(("I", ((1, 0), (2, 1))))
+@example(("unit", ((Fraction(1, 2), "x"), (Fraction(3, 2), 1))))
+@example(("Ninf", ((INF, 1), (1, 0))))
+@settings(max_examples=600, deadline=None)
+def test_one_pass_sums_match_the_normal_form_rules(case):
+    name, fam = case
+    s = SEMIRINGS[name]
+    assert _outcome(s.sum_family, fam) == _outcome(_reference_sum, s, fam)
+
+
+def test_unknown_kind_is_refused_at_construction():
+    with pytest.raises(ValueError, match="bogus"):
+        Semiring("x", "bogus", 0, 1, False, False, None, I._sum_rule, I._mul_rule)
 
 
 # ---------------------------------------------------------------------------
