@@ -131,6 +131,11 @@ def _entry_products(f: LinMap, x: Vector, b):
 def apply(f: LinMap, x: Vector):
     """Matrix application; a Vector of f.dst or UNDEF."""
     f.src.require(x)
+    return _image(f, x)
+
+
+def _image(f: LinMap, x: Vector):
+    """`apply` for an x already known to be a member of f.src."""
     s = f.src.semiring
     coords = {}
     for b in f.dst.web.atoms:
@@ -226,7 +231,7 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
         # a bounded (unit) target holds only when g's image is zero.
         bounded = src.semiring is RPOS and dst.semiring is not RPOS
         for n, g in enumerate(gens, 1):
-            img = apply(f, g)
+            img = _image(f, g)
             if img is UNDEF or (bounded and not img.is_zero()):
                 return Verdict(what, False, "polytope-generators", n,
                                f"image of generator {g!r} leaves the target")
@@ -367,7 +372,7 @@ def validate_basis(m: BasedModule, b: DualBasis) -> Verdict:
     for n, x in enumerate(carrier, 1):
         fam = []
         for e, phi in b.pairs:
-            fx = apply(phi, x)
+            fx = _image(phi, x)
             if fx is UNDEF:
                 return Verdict(what, False, strategy, n, f"phi undefined at {x!r}")
             r = scalar_of(fx)
@@ -381,7 +386,7 @@ def validate_basis(m: BasedModule, b: DualBasis) -> Verdict:
     ortho = True
     for i, (ei, _) in enumerate(b.pairs):
         for j, (_, phij) in enumerate(b.pairs):
-            img = apply(phij, ei)
+            img = _image(phij, ei)
             if img is UNDEF:
                 ortho = False
                 continue
@@ -580,6 +585,15 @@ class DualityReport:
     detail: str = ""
 
 
+def _same_hull(m: BasedModule, n: BasedModule) -> bool:
+    """Whether two polytope modules on webs of one length have the same
+    down-closed hull: each holds the other's generators, coordinate by
+    coordinate in web order."""
+    pm, pn = m.presentation, n.presentation
+    return (all(pn.contains(g) for g in pm.polytope(m))
+            and all(pm.contains(g) for g in pn.polytope(n)))
+
+
 def dual_and_eta(m: BasedModule, b: DualBasis) -> DualityReport:
     """Dual, double dual and the evaluation map eta(x)(f) = f(x).
 
@@ -618,9 +632,7 @@ def dual_and_eta(m: BasedModule, b: DualBasis) -> DualityReport:
             relabeled = {apply(eta, x) for x in carrier_m}
             iso = iso and relabeled == set(carrier_dd)
         elif isinstance(m.presentation, PolytopeP):
-            gens = ratlp.prune_dominated(m.presentation.polytope(m))
-            dd_gens = ratlp.prune_dominated(ddual.presentation.polytope(ddual))
-            iso = iso and gens == dd_gens
+            iso = iso and _same_hull(m, ddual)
         mu_eta = iso and compose(eta, inv).matrix == identity_matrix(m.web)
     else:
         detail = "eta or its inverse fails the morphism check"

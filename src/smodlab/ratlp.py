@@ -1,14 +1,21 @@
 """Exact rational linear programming, sized for tiny webs.
 
-Everything here works over `fractions.Fraction`; no floating point.  The
-entry points are
+No floating point: the simplex works over `fractions.Fraction`, and the
+vertex layer in integers.  The entry points are
 
 * `max_scale(gens, w)` -- the largest t with t·w in the downward convex hull
   of `gens` (hull scaled by a total weight <= 1), via a dense exact simplex;
 * `polar_vertices(gens, dim)` -- vertex enumeration of
-  {u >= 0 | <g, u> <= 1 for all g in gens} by brute-force basis inspection;
+  {u >= 0 | <g, u> <= 1 for all g in gens} by basis inspection: each basis
+  fixes some coordinates to 0, and the square system of generator rows on
+  the remaining ones is solved by fraction-free (Bareiss) elimination on
+  the generators scaled to integer rows;
 * `pruned_polar(gens, dim)` -- those vertices with the dominated ones
-  dropped: irredundant generators of the polar polytope.
+  dropped: irredundant generators of the polar polytope.  The polar of
+  non-negative generators is anti-blocking, so a vertex is dropped when
+  some coordinate is free in every row tight at it; no LP is solved;
+* `prune_dominated(gens)` -- the same pruning for any generator list, one
+  bipolar LP per generator.
 
 All are deliberately simple: vertices are enumerated only within
 `VERTEX_BOUND` atoms, where membership pairs with the polar's vertices.
@@ -17,6 +24,7 @@ All are deliberately simple: vertices are enumerated only within
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -97,50 +105,77 @@ def in_bipolar(gens: Sequence[Vec], u: Vec) -> bool:
     return t is None or t >= 1
 
 
-def _solve_square(rows, rhs):
-    """Solve a square rational system; None if singular."""
-    n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
+def _integer_rows(gens: Sequence[Vec]) -> list:
+    """Each generator g as (L·g, L): an integer row and its bound, with L the
+    lcm of g's denominators, so that <g, u> <= 1 reads (L·g)·u <= L."""
+    rows = []
+    for g in gens:
+        g = [Fraction(x) for x in g]
+        lcm = math.lcm(*(x.denominator for x in g))
+        rows.append((tuple(x.numerator * (lcm // x.denominator) for x in g), lcm))
+    return rows
+
+
+def _bareiss(aug) -> Optional[tuple]:
+    """Solve an integer square system, given as augmented rows [A | b].
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every division
+    is exact, and at the end each diagonal entry is ±det A and the last
+    column is ±det A times the solution.  Returns (y, det) with det > 0 and
+    solution y/det, or None when A is singular.  `aug` is consumed.
+    """
+    k = len(aug)
+    prev = 1
+    for c in range(k):
+        p = next((r for r in range(c, k) if aug[r][c]), None)
+        if p is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][-1] for i in range(n)]
+        aug[c], aug[p] = aug[p], aug[c]
+        top = aug[c]
+        pv = top[c]
+        for r in range(k):
+            if r != c:
+                row, f = aug[r], aug[r][c]
+                aug[r] = [(pv * x - f * t) // prev for x, t in zip(row, top)]
+        prev = pv
+    y = [row[k] for row in aug]
+    return (y, prev) if prev > 0 else ([-v for v in y], -prev)
 
 
 def polar_vertices(gens: Sequence[Vec], dim: int) -> list:
-    """Vertices of {u >= 0 | <g, u> <= 1 for every g in gens}.
+    """Vertices of {u >= 0 | <g, u> <= 1 for every g in gens}, sorted.
 
-    Brute force over all choices of `dim` active constraints from the
-    non-negativity facets and the generator facets.  Intended for dim <= 4.
-    Raises ValueError when the polyhedron is unbounded (a zero column in the
-    generator matrix, i.e. a dead atom).
+    A basis sets some coordinates to 0 (non-negativity facets) and makes
+    as many generator rows tight as there are free coordinates; only that
+    square system on the free coordinates is solved, in integers.  A
+    solution y/det is a vertex when y >= 0 and every row keeps
+    (L·g)·y <= L·det; only those become `Fraction`s.  The origin is always
+    a vertex.  Intended for dim <= 4.  Raises ValueError when the
+    polyhedron is unbounded (a zero column in the generator matrix, i.e. a
+    dead atom).
     """
     for d in range(dim):
         if all(g[d] == 0 for g in gens):
             raise ValueError(f"polar is unbounded in coordinate {d}")
-    # constraints: rows (a, rhs) with a·u <= rhs
-    cons = [([Fraction(-1) if j == d else Fraction(0) for j in range(dim)], Fraction(0))
-            for d in range(dim)]
-    cons += [([Fraction(g[j]) for j in range(dim)], Fraction(1)) for g in gens]
-    verts = set()
-    for combo in itertools.combinations(range(len(cons)), dim):
-        rows = [cons[i][0] for i in combo]
-        rhs = [cons[i][1] for i in combo]
-        sol = _solve_square(rows, rhs)
-        if sol is None:
-            continue
-        if any(x < 0 for x in sol):
-            continue
-        if all(sum(a * x for a, x in zip(row, sol)) <= r for row, r in cons):
-            verts.add(tuple(sol))
+    rows = _integer_rows(gens)
+    zero = Fraction(0)
+    verts = {(zero,) * dim}
+    for k in range(1, min(dim, len(rows)) + 1):
+        for free in itertools.combinations(range(dim), k):
+            cut = [([r[i] for i in free], bound) for r, bound in rows]
+            for basis in itertools.combinations(cut, k):
+                sol = _bareiss([r + [bound] for r, bound in basis])
+                if sol is None:
+                    continue
+                y, det = sol
+                if any(v < 0 for v in y) or any(
+                        sum(a * v for a, v in zip(r, y)) > bound * det
+                        for r, bound in cut):
+                    continue
+                x = [zero] * dim
+                for i, v in zip(free, y):
+                    x[i] = Fraction(v, det)
+                verts.add(tuple(x))
     return sorted(verts)
 
 
@@ -156,5 +191,28 @@ def prune_dominated(gens: Sequence[tuple]) -> list:
 
 
 def pruned_polar(gens: Sequence[Vec], dim: int) -> list:
-    """Irredundant generators of the polar of `gens` (see `polar_vertices`)."""
-    return prune_dominated(polar_vertices(gens, dim))
+    """Irredundant generators of the polar of non-negative `gens`: the
+    vertices of `polar_vertices` that are maximal in the polar.
+
+    The polar is anti-blocking (Fulkerson 1971), so a vertex v is
+    dominated exactly when some coordinate i can grow, that is when every
+    generator tight at v (<g, v> = 1) has g_i = 0.  That is decided by
+    integer dot products, and gives the list `prune_dominated`'s LPs would.
+    A negative generator entry raises ValueError: the rule needs them all
+    non-negative.
+    """
+    rows = _integer_rows(gens)
+    if any(a < 0 for r, _ in rows for a in r):
+        raise ValueError("pruned_polar needs non-negative generators")
+    verts = polar_vertices(gens, dim)
+    kept = []
+    for v in verts:
+        den = math.lcm(*(x.denominator for x in v))
+        y = [x.numerator * (den // x.denominator) for x in v]
+        grows = set(range(dim))
+        for r, bound in rows:
+            if sum(a * b for a, b in zip(r, y)) == bound * den:
+                grows.difference_update(i for i, a in enumerate(r) if a)
+        if not grows:
+            kept.append(v)
+    return kept

@@ -63,3 +63,26 @@ def test_no_unused_imports_in_the_library():
         found += [f"{path.relative_to(SOURCE)}:{line} {name}"
                   for line, name in _unused_imports(tree)]
     assert not found, found
+
+
+def _referenced_names(tree) -> set:
+    """Names and attributes the tree reads."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_no_dead_private_definitions_in_the_library():
+    # a top-level private function or class that no library code reads is
+    # dead: tests alone may not keep it alive, nor may its own body
+    defined, reads = [], []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                defined.append((f"{path.relative_to(SOURCE)}:{node.lineno}",
+                                node.name, len(reads)))
+            reads.append(_referenced_names(node))
+    found = [f"{where} {name}" for where, name, own in defined
+             if not any(name in names for i, names in enumerate(reads) if i != own)]
+    assert not found, found
