@@ -171,7 +171,7 @@ def cmd_check_comonoid(args) -> int:
     ws = load_workspace(args.workspace)
     den = _denote_name(ws, args.name)
     B = bang(den.module, den.basis, args.degree)
-    return _verdict(args, check_comonoid(B, seed=args.seed))
+    return _verdict(args, check_comonoid(B))
 
 
 def cmd_report(args) -> int:
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workspace")
     p.add_argument("name")
     p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check_comonoid)
 
     p = sub.add_parser("report", help="run the property suite")

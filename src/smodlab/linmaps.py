@@ -186,7 +186,7 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
 CARRIER_CAP = 4096
 
 
-def _spanning_members(m: BasedModule):
+def spanning_members(m: BasedModule):
     """Members that settle a linear map, or a basis, on all of m: the
     generators of a polytope (only rational modules have one), or the rays
     δ_a of a free Rpos module (the cone R>=0^web).  None for any other."""
@@ -224,7 +224,7 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
                                "function-space coherence")
         return Verdict(what, True, "coherence", len(pairs) * (len(pairs) + 1) // 2)
 
-    if dst.semiring.ambient is RPOS and (gens := _spanning_members(src)) is not None:
+    if dst.semiring.ambient is RPOS and (gens := spanning_members(src)) is not None:
         # Rational modules use ambient arithmetic, so additivity and the
         # scalar action hold entry-wise; membership is convex, so checking
         # the generators suffices.  An Rpos source holds every t·g, which
@@ -356,7 +356,7 @@ def validate_basis(m: BasedModule, b: DualBasis) -> Verdict:
                            f"is not linear: {rep.counterexample}")
         if rep.ok is UNKNOWN:
             undecided = f"linearity of the functional for {e!r}: {rep.counterexample}"
-    carrier = _spanning_members(m)
+    carrier = spanning_members(m)
     if carrier is not None:
         strategy = "polytope-generators"
         axes = (vec(m.web, {a: max(g.value(a) for g in carrier)})

@@ -1,17 +1,22 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from smodlab.basedmod import equalizer_submodule, vec, web
+from smodlab import exponential, ratlp
+from smodlab.basedmod import UNKNOWN, Web, equalizer_submodule, vec, web
 from smodlab.exponential import (ExponentialError, MultisetIndex, bang,
                                  bang_basis, check_comonoid, comult, counit,
                                  dereliction, ideal_gamma, multisets_of_degree,
                                  parse_multiset, promote, sym_power)
-from smodlab.linmaps import (LinMap, Matrix, apply, compose, identity,
+from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
+                             free_module, functional, gamma_basis, identity,
                              is_morphism, tensor_obj, validate_basis)
-from smodlab.models import (F_embed, H_embed, coherence_module,
-                            coherence_space, pcoh_gamma_and_basis, pcoh_space)
-from smodlab.scalars import I, UNIT
+from smodlab.models import (F_embed, FinitenessSpace, H_embed, coherence_module,
+                            coherence_space, finiteness_module,
+                            pcoh_gamma_and_basis, pcoh_space)
+from smodlab.scalars import I, N, UNIT
 
 
 def interval():
@@ -160,6 +165,148 @@ def test_comonoid_mutant_caught():
     B = bang(m, basis, 2)
     rep = check_comonoid(B, mutate_seed=0)
     assert not rep.ok
+
+
+def test_comonoid_laws_over_free_N_are_undecided():
+    # nothing decides the basis of free N, and no sample proves the laws
+    m = free_module(N, Web(("a",)))
+    rep = check_comonoid(bang(m, gamma_basis(m, {"a": 1}), 2))
+    assert rep.ok is UNKNOWN
+    laws = {c.what: c for c in rep.checks}
+    assert laws["dereliction∘promote = id"].ok is UNKNOWN
+    assert laws["comult∘promote = promote⊠promote"].ok is True
+    assert all(c.strategy != "sampled" for c in rep.checks)
+
+
+def test_check_comonoid_runs_no_lp(monkeypatch):
+    P = pcoh_space("P", ("a", "b", "c"), [(1, 0, 1), (0, 1, 1)])
+    B = bang(H_embed(P), pcoh_gamma_and_basis(P)[1], 2)
+    calls = []
+    for name in ("max_scale", "in_bipolar"):
+        def counting(*args, _name=name, _f=getattr(ratlp, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(ratlp, name, counting)
+    assert check_comonoid(B).ok is True
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the symbolic comult∘promote law against pointwise evaluation
+
+
+COMULT_LAW = "comult∘promote = promote⊠promote"
+
+
+def pointwise_comult_law(B, delta, promoted) -> bool:
+    """comult∘promote = promote⊠promote evaluated at each promoted point,
+    split by split for |ξ₁| + |ξ₂| ≤ d: the reference for the symbolic
+    check."""
+    mul = B.base.semiring.ambient_mul
+    for px in promoted:
+        for x1, x2 in itertools.product(B.multisets, repeat=2):
+            if x1.degree + x2.degree > B.degree:
+                continue
+            whole = x1.add(x2)
+            lhs = px.value(whole.label) \
+                if (whole.label, (x1.label, x2.label)) in delta else 0
+            if lhs != mul(px.value(x1.label), px.value(x2.label)):
+                return False
+    return True
+
+
+def grid_points(m, basis, d):
+    """x = Σ_a φ_a·e_a with every φ_a in {0, 1/(dn), …, 1/n}: a (d+1)^n
+    grid in φ-coordinates, inside the carrier since Σ_a φ_a ≤ 1.  A
+    polynomial of degree ≤ d in each φ_a that vanishes on it is zero (Alon
+    1999, Combinatorial Nullstellensatz)."""
+    n = len(basis.pairs)
+    out = []
+    for ks in itertools.product(range(d + 1), repeat=n):
+        coords = {}
+        for k, (e, _) in zip(ks, basis.pairs):
+            for a, x in e.entries:
+                coords[a] = coords.get(a, 0) + Fraction(k, d * n) * x
+        out.append(vec(m.web, {a: x for a, x in coords.items() if x}))
+    return out
+
+
+def assert_symbolic_matches_pointwise(m, basis, d, points):
+    """The symbolic sub-verdict equals the pointwise one on the intact
+    table and on the table without each single split."""
+    B = bang(m, basis, d)
+    promoted = [promote(B, x) for x in points]
+    table = exponential._splits(B)
+    law = {c.what: c for c in check_comonoid(B).checks}[COMULT_LAW]
+    assert law.ok is pointwise_comult_law(B, exponential._delta_dict(B), promoted)
+    for i in range(len(table)):
+        delta = {(xi, (x1, x2)): 1 for xi, x1, x2 in table[:i] + table[i + 1:]}
+        law = exponential._comult_law(B, delta)
+        assert law.ok is pointwise_comult_law(B, delta, promoted), (d, table[i], law)
+
+
+def with_dead_functional(m, basis):
+    """`basis` with its last functional replaced by zero.  It still claims
+    to be orthogonal, so `bang` accepts it, but every monomial at the last
+    atom vanishes on the carrier."""
+    e, _ = basis.pairs[-1]
+    return DualBasis(basis.pairs[:-1] + ((e, functional(m, {})),))
+
+
+def dead_simplex():
+    m, basis = simplex()
+    return m, with_dead_functional(m, basis)
+
+
+@pytest.mark.parametrize("base", [interval, simplex, dead_simplex])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_comult_law_matches_pointwise_on_rational_bases(base, degree):
+    m, basis = base()
+    assert_symbolic_matches_pointwise(m, basis, degree,
+                                      grid_points(m, basis, degree))
+
+
+_HALVES = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=2, max_value=3).flatmap(lambda dim: st.lists(
+    st.tuples(*[_HALVES] * dim), min_size=1, max_size=3)),
+    st.integers(min_value=1, max_value=2))
+def test_comult_law_matches_pointwise_on_pcoh_spaces(gens, degree):
+    dim = len(gens[0])
+    assume(all(any(g[i] for g in gens) for i in range(dim)))
+    P = pcoh_space("P", tuple("pqr"[:dim]), gens)
+    m, basis = H_embed(P), pcoh_gamma_and_basis(P)[1]
+    assert_symbolic_matches_pointwise(m, basis, degree,
+                                      grid_points(m, basis, degree))
+
+
+def coherence_spaces(max_atoms):
+    """Every coherence space on 1..max_atoms atoms."""
+    for n in range(1, max_atoms + 1):
+        atoms = tuple("abc"[:n])
+        offdiag = list(itertools.combinations(atoms, 2))
+        for bits in range(2 ** len(offdiag)):
+            yield coherence_space(f"S{n}_{bits}", atoms,
+                                  [p for i, p in enumerate(offdiag) if bits >> i & 1])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_comult_law_matches_pointwise_on_coherence_spaces(degree):
+    for A in coherence_spaces(3):
+        m, basis = F_embed(A)
+        assert_symbolic_matches_pointwise(m, basis, degree, m.carrier_vectors())
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_comult_law_matches_pointwise_on_enumerated_carriers(degree):
+    # a finiteness carrier is neither convex nor coherent: vanishing is
+    # decided point by point on the enumerated carrier
+    for n in (1, 2, 3):
+        m = finiteness_module(FinitenessSpace("X", tuple("abc"[:n])))
+        for basis in (gamma_basis(m), with_dead_functional(m, gamma_basis(m))):
+            assert_symbolic_matches_pointwise(m, basis, degree, m.carrier_vectors())
 
 
 # ---------------------------------------------------------------------------

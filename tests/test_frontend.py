@@ -240,6 +240,16 @@ def test_cli_check_comonoid(ws_file):
     assert main(["check-comonoid", ws_file, "P", "--degree", "2"]) == 0
 
 
+def test_cli_check_comonoid_with_nothing_to_prove_the_laws_is_undecided(tmp_path, capsys):
+    # the basis of free N is not decidable, and no sample stands in for it
+    p = tmp_path / "n.llw"
+    p.write_text("module M = free(N, web [a])\n")
+    assert main(["--format", "json", "check-comonoid", str(p), "M"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] == "unknown"
+    assert all(c["strategy"] != "sampled" for c in payload["checks"])
+
+
 def test_cli_check_morphism_cut_short_is_undecided(tmp_path, capsys):
     p = tmp_path / "n.llw"
     p.write_text("module M = free(N, web [a, b])\nmatrix ones : M -> M = 1 1; 1 1\n")
