@@ -319,17 +319,10 @@ def bang(V: BasedModule, basis: DualBasis, d: int,
     w = Web(tuple(xi.label for xi in all_multisets))
 
     if isinstance(V.presentation, CoherenceP):
-        # the multiset exponential: ξ ⌢ ξ′ iff the union support is a clique
-        from .models import CoherenceSpace, coherence_module
-        space_rel = set()
-        sp = V.presentation.space
-        for x1 in all_multisets:
-            for x2 in all_multisets:
-                if sp.is_clique(x1.support | x2.support):
-                    space_rel.add((x1.label, x2.label))
-        space = CoherenceSpace(f"!{sp.name}", tuple(w.atoms),
-                               frozenset(space_rel))
-        mod = coherence_module(space, w)
+        from .models import coherence_bang, coherence_module
+        space = coherence_bang(V.presentation.space, w.atoms,
+                               (xi.support for xi in all_multisets))
+        mod = coherence_module(space)
     else:
         mod = BasedModule(s, w, SymGradedP(tuple(layers)),
                           f"!{V.name or 'V'}@{d}")

@@ -32,7 +32,7 @@ from ..basedmod import (BasedModule, CoherenceP, PolytopeP, Vector, Web,
 from ..linmaps import (DualBasis, LinMap, Matrix, functional, gamma_basis,
                        identity, is_morphism, lolli_obj, semiring_module,
                        tensor_obj, unit_basis)
-from ..models import CoherenceSpace, coherence_module
+from ..models import coherence_module, coherence_slice
 from ..exponential import bang, bang_basis, comult as exp_comult, \
     dereliction, promote as exp_promote
 from .. import ratlp
@@ -211,8 +211,8 @@ def _combinator(ws: Workspace, head: str, args) -> LinMap:
         arity(2)
         f = interpret_morphism(ws, args[0])
         g = interpret_morphism(ws, args[1])
-        den_src = _tensor_den(ws, f.src, g.src)
-        den_dst = _tensor_den(ws, f.dst, g.dst)
+        den_src = _tensor_den(f.src, g.src)
+        den_dst = _tensor_den(f.dst, g.dst)
         mul = f.src.semiring.ambient_mul
         entries = {}
         for (a, c), v in f.matrix.entries:
@@ -265,13 +265,13 @@ def _combinator(ws: Workspace, head: str, args) -> LinMap:
             raise InterpretError(
                 f"curry needs a tensor source, got web {f.src.web!r}")
         a_atoms, b_atoms = split
-        return _curry(ws, f, a_atoms, b_atoms)
+        return _curry(f, a_atoms, b_atoms)
 
     if head == "apply":
         arity(2)
         l = _formula_arg(ws, args[0])
         r = _formula_arg(ws, args[1])
-        return _eval_map(ws, l, r)
+        return _eval_map(l, r)
 
     if head == "promote":
         arity(3)
@@ -302,11 +302,8 @@ def _combinator(ws: Workspace, head: str, args) -> LinMap:
     raise InterpretError(f"unknown combinator {head!r}")
 
 
-def _tensor_den(ws: Workspace, m: BasedModule, n: BasedModule) -> Denotation:
-    dl = Denotation(m, _recover_basis(m))
-    dr = Denotation(n, _recover_basis(n))
-    mod, basis = tensor_obj(m, n, dl.basis, dr.basis)
-    return Denotation(mod, basis)
+def _tensor_den(m: BasedModule, n: BasedModule) -> Denotation:
+    return Denotation(*tensor_obj(m, n, _recover_basis(m), _recover_basis(n)))
 
 
 def _recover_basis(m: BasedModule) -> DualBasis:
@@ -335,7 +332,7 @@ def _unpair_web(w: Web):
     return tuple(lefts), tuple(rights)
 
 
-def _curry(ws: Workspace, f: LinMap, a_atoms, b_atoms) -> LinMap:
+def _curry(f: LinMap, a_atoms, b_atoms) -> LinMap:
     """A ⊗ B → C to A → (B ⊸ C), on raw matrices."""
     # reconstruct component modules of the tensor source by membership slicing
     a_mod = _component_module(f.src, a_atoms, first=True, other=b_atoms)
@@ -356,37 +353,24 @@ def _component_module(t: BasedModule, atoms, first: bool, other) -> BasedModule:
     to zero; presentations of the shipped tensors restrict coherently."""
     w = Web(tuple(atoms))
     pres = t.presentation
+    name = f"{t.name}.{1 if first else 2}"
     if isinstance(pres, CoherenceP):
-        sp = pres.space
-        rel = set()
-        for x in atoms:
-            for y in atoms:
-                pair = (pair_atom(x, other[0]), pair_atom(y, other[0])) \
-                    if first else (pair_atom(other[0], x), pair_atom(other[0], y))
-                if sp.coherent(*pair):
-                    rel.add((x, y))
-        return coherence_module(
-            CoherenceSpace(f"{t.name}.{1 if first else 2}", tuple(atoms),
-                           frozenset(rel)), w)
+        return coherence_module(coherence_slice(pres.space, atoms, other[0], first, name))
     if isinstance(pres, PolytopeP):
+        def pair(a, b):  # the tensor atom of a in this factor, b in the other
+            return pair_atom(a, b) if first else pair_atom(b, a)
         gens = set()
         for g in pres.polytope(t):
             coords = dict(zip(t.web.atoms, g))
-            if first:
-                sliced = tuple(max(coords[pair_atom(a, b)] for b in other)
-                               for a in atoms)
-            else:
-                sliced = tuple(max(coords[pair_atom(b, a)] for b in other)
-                               for a in atoms)
-            gens.add(sliced)
+            gens.add(tuple(max(coords[pair(a, b)] for b in other) for a in atoms))
         return BasedModule(t.semiring, w,
                            PolytopeP(generators=tuple(
                                ratlp.prune_dominated(list(gens)))),
-                           f"{t.name}.{1 if first else 2}")
+                           name)
     return free_module(t.semiring, w)
 
 
-def _eval_map(ws: Workspace, l: Denotation, r: Denotation) -> LinMap:
+def _eval_map(l: Denotation, r: Denotation) -> LinMap:
     """(L -o R) * L → R."""
     lol, blol = lolli_obj(l.module, r.module, l.basis, r.basis)
     src_mod, _ = tensor_obj(lol, l.module, blol, l.basis)

@@ -201,24 +201,25 @@ def spanning_members(m: BasedModule):
 def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
     """Presentation-directed linearity check.
 
-    Coherence pairs use the clique condition on the linear-function-space
-    relation; a polytope source checks its generators' images, and a free
-    Rpos source (a cone) its rays' images; enumerable carriers are
-    checked by bounded brute force (definedness, additivity on defined
+    Between coherence modules (a free I-module is the complete coherence
+    space), each pair of matrix entries is tested by the coherence rule of
+    the function space; a polytope source checks its generators' images,
+    and a free Rpos source (a cone) its rays' images; enumerable carriers
+    are checked by bounded brute force (definedness, additivity on defined
     families including ω-repetitions, and action preservation when the
     semirings coincide).  Any other source leaves the verdict UNKNOWN,
     under the strategy "none".
     """
     src, dst = f.src, f.dst
     what = f"morphism {src.label} -> {dst.label}"
-    if isinstance(src.presentation, CoherenceP) and isinstance(dst.presentation, CoherenceP):
-        from .models import coherence_lolli
-        rel = coherence_lolli(src.presentation.space, dst.presentation.space)
-        pairs = [(a, b) for (a, b), v in f.matrix.entries if v == 1]
-        if any(v not in (0, 1) for _, v in f.matrix.entries):
+    from .models import coherence_of, lolli_coherent
+    A, B = coherence_of(src), coherence_of(dst)
+    if A is not None and B is not None:
+        if any(v != 1 for _, v in f.matrix.entries):
             return Verdict(what, False, "coherence", 0, "non-0/1 entry")
+        pairs = [p for p, _ in f.matrix.entries]
         for n, (p, q) in enumerate(itertools.combinations_with_replacement(pairs, 2), 1):
-            if not rel.coherent(pair_atom(*p), pair_atom(*q)):
+            if not lolli_coherent(A, B, p, q):
                 return Verdict(what, False, "coherence", n,
                                f"pairs {p} and {q} violate the "
                                "function-space coherence")
@@ -409,14 +410,16 @@ def pair_web(w1: Web, w2: Web) -> Web:
     return Web(tuple(pair_atom(a, b) for a in w1.atoms for b in w2.atoms))
 
 
-def _outer_vector(w: Web, x: Vector, y: Vector, mul) -> Vector:
+def _outer(xs, ys, mul) -> dict:
+    """Coordinates x_a·y_b at the pair atoms (a,b), from two sequences of
+    (atom, value) items: vector entries or a functional's column."""
     coords = {}
-    for a, xa in x.entries:
-        for b, yb in y.entries:
+    for a, xa in xs:
+        for b, yb in ys:
             v = mul(xa, yb)
             if v != 0:
                 coords[pair_atom(a, b)] = v
-    return vec(w, coords)
+    return coords
 
 
 def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
@@ -429,8 +432,7 @@ def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
     mp, np_ = m.presentation, n.presentation
     if isinstance(mp, CoherenceP) and isinstance(np_, CoherenceP):
         from .models import coherence_tensor, coherence_module
-        space = coherence_tensor(mp.space, np_.space, name or "⊗")
-        mod = coherence_module(space, w)
+        mod = coherence_module(coherence_tensor(mp.space, np_.space, name or "⊗"))
     elif ((gm := mp.polytope(m)) is not None
           and (gn := np_.polytope(n)) is not None):
         gens = []
@@ -452,17 +454,8 @@ def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
     pairs = []
     for (e1, p1) in bm.pairs:
         for (e2, p2) in bn.pairs:
-            e = _outer_vector(w, e1, e2, mul)
-            coeffs = {}
-            for a in m.web.atoms:
-                pa = p1.matrix.entry(a, "*")
-                if pa == 0:
-                    continue
-                for b in n.web.atoms:
-                    qb = p2.matrix.entry(b, "*")
-                    if qb == 0:
-                        continue
-                    coeffs[pair_atom(a, b)] = mul(pa, qb)
+            e = vec(w, _outer(e1.entries, e2.entries, mul))
+            coeffs = _outer(p1.matrix.column("*"), p2.matrix.column("*"), mul)
             pairs.append((e, functional(mod, coeffs, s)))
     return mod, DualBasis(tuple(pairs), orthogonal=bm.orthogonal and bn.orthogonal)
 
@@ -482,8 +475,7 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
     mp, np_ = m.presentation, n.presentation
     if isinstance(mp, CoherenceP) and isinstance(np_, CoherenceP):
         from .models import coherence_lolli, coherence_module
-        space = coherence_lolli(mp.space, np_.space, name or "⊸")
-        mod = coherence_module(space, w)
+        mod = coherence_module(coherence_lolli(mp.space, np_.space, name or "⊸"))
     elif ((gm := mp.polytope(m)) is not None
           and (gn := np_.polytope(n)) is not None):
         cons = []
@@ -502,7 +494,6 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
         mod = BasedModule(s, w, FreeP(), name or "⊸")
     else:
         carrier = m.carrier_vectors(cap=512)
-        values = None if carrier is None else m.presentation.coordinate_values(s)
         dvalues = n.presentation.coordinate_values(s)
         if carrier is None or dvalues is None:
             raise NotImplementedError(f"lolli of {mp!r} and {np_!r}")
@@ -526,26 +517,9 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
     for (e1, p1) in bm.pairs:
         for (e2, p2) in bn.pairs:
             # basis map e'_j · phi_i as a matrix, encoded as a vector
-            coords = {}
-            for a in m.web.atoms:
-                pa = p1.matrix.entry(a, "*")
-                if pa == 0:
-                    continue
-                for b, e2b in e2.entries:
-                    v = mul(pa, e2b)
-                    if v != 0:
-                        coords[pair_atom(a, b)] = v
-            e = vec(w, coords)
+            e = vec(w, _outer(p1.matrix.column("*"), e2.entries, mul))
             # functional f -> psi'_j(f(e_i))
-            coeffs = {}
-            for a, e1a in e1.entries:
-                for b in n.web.atoms:
-                    qb = p2.matrix.entry(b, "*")
-                    if qb == 0:
-                        continue
-                    v = mul(e1a, qb)
-                    if v != 0:
-                        coeffs[pair_atom(a, b)] = v
+            coeffs = _outer(e1.entries, p2.matrix.column("*"), mul)
             pairs.append((e, functional(mod, coeffs, s)))
     return mod, DualBasis(tuple(pairs), orthogonal=bm.orthogonal and bn.orthogonal)
 
@@ -606,7 +580,7 @@ def dual_and_eta(m: BasedModule, b: DualBasis) -> DualityReport:
     r_mod = semiring_module(s)
     ub = unit_basis(s)
     dual, dual_b = lolli_obj(m, r_mod, b, ub, name="dual")
-    ddual, ddual_b = lolli_obj(dual, r_mod, dual_b, ub, name="ddual")
+    ddual, _ = lolli_obj(dual, r_mod, dual_b, ub, name="ddual")
 
     # eta: coordinate a of m goes to coordinate ((a,*),*) of ddual
     entries = {}
@@ -633,7 +607,7 @@ def dual_and_eta(m: BasedModule, b: DualBasis) -> DualityReport:
             iso = iso and relabeled == set(carrier_dd)
         elif isinstance(m.presentation, PolytopeP):
             iso = iso and _same_hull(m, ddual)
-        mu_eta = iso and compose(eta, inv).matrix == identity_matrix(m.web)
+        mu_eta = iso and fwd.matrix == identity_matrix(m.web)
     else:
         detail = "eta or its inverse fails the morphism check"
     return DualityReport(dual, ddual, eta, iso, mu_eta, detail)

@@ -16,8 +16,8 @@ from typing import Iterable, Optional
 from .scalars import F as FSEMI
 from .scalars import I as ISEMI
 from .scalars import INF, NINF, UNDEF, UNIT, Semiring
-from .basedmod import (BasedModule, CoherenceP, FinitenessP, IntegrityError,
-                       PolytopeP, Web, WebMismatch, pair_atom)
+from .basedmod import (BasedModule, CoherenceP, FinitenessP, FreeP,
+                       IntegrityError, PolytopeP, Web, WebMismatch, pair_atom)
 from .linmaps import LinMap, Matrix, gamma_basis, is_morphism
 from . import ratlp
 
@@ -36,11 +36,22 @@ class BoundExceeded(ModelError):
 
 @dataclass(frozen=True)
 class CoherenceSpace:
+    """A web with a reflexive, symmetric coherence relation.
+
+    Only a declared space (`coherence_space`) stores and validates its
+    relation.  A space built by a connective holds its parts and each atom's
+    key in them, and answers by the connective's rule (Girard 1987)."""
+
     name: str
     atoms: tuple
-    coh: frozenset  # symmetric, reflexive set of atom pairs
+    coh: Optional[frozenset] = None  # declared: symmetric, reflexive atom pairs
+    rule: str = "declared"
+    parts: tuple = ()
+    keys: tuple = ()  # in web order
 
     def __post_init__(self):
+        if self.coh is None:
+            return
         for (a, b) in self.coh:
             if a not in self.atoms or b not in self.atoms:
                 raise ModelError(f"coherence pair ({a},{b}) outside the web")
@@ -55,12 +66,19 @@ class CoherenceSpace:
     def web(self) -> Web:
         return Web(self.atoms)
 
+    @functools.cached_property
+    def _key(self) -> dict:
+        """Each atom's key, indexed once; not part of ==, hash or repr."""
+        return dict(zip(self.atoms, self.keys))
+
     def coherent(self, a, b) -> bool:
-        return (a, b) in self.coh
+        if self.coh is not None:
+            return (a, b) in self.coh
+        return _RULES[self.rule](*self.parts, self._key[a], self._key[b])
 
     def strictly_incoherent(self, a, b) -> bool:
         """a ≍ b: equal or incoherent."""
-        return a == b or (a, b) not in self.coh
+        return a == b or not self.coherent(a, b)
 
     def is_clique(self, support: Iterable) -> bool:
         sup = list(support)
@@ -76,6 +94,24 @@ class CoherenceSpace:
         return out
 
 
+def lolli_coherent(A: CoherenceSpace, B: CoherenceSpace, p, q) -> bool:
+    """(a,b) ⌢ (a′,b′) in A ⊸ B: a ⌢ a′ ⇒ b ⌢ b′, and b ≍ b′ ⇒ a ≍ a′."""
+    (a, b), (a2, b2) = p, q
+    return ((not A.coherent(a, a2) or B.coherent(b, b2))
+            and (not B.strictly_incoherent(b, b2) or A.strictly_incoherent(a, a2)))
+
+
+# each connective's coherence of two atoms, from its parts and the atoms' keys
+_RULES = {
+    "complete": lambda x, y: True,
+    "dual": lambda A, x, y: A.strictly_incoherent(x, y),
+    "tensor": lambda A, B, x, y: A.coherent(x[0], y[0]) and B.coherent(x[1], y[1]),
+    "lolli": lolli_coherent,
+    "bang": lambda A, x, y: A.is_clique(x | y),
+    "slice": lambda T, x, y: T.coherent(x, y),
+}
+
+
 def coherence_space(name: str, atoms, coherent_pairs=()) -> CoherenceSpace:
     """Build a space from the strict part of the relation; reflexive and
     symmetric closure is taken automatically."""
@@ -88,33 +124,49 @@ def coherence_space(name: str, atoms, coherent_pairs=()) -> CoherenceSpace:
 
 
 def coherence_dual(A: CoherenceSpace, name: str = "") -> CoherenceSpace:
-    rel = {(a, b) for a in A.atoms for b in A.atoms
-           if A.strictly_incoherent(a, b)}
-    return CoherenceSpace(name or f"{A.name}^", A.atoms, frozenset(rel))
+    return CoherenceSpace(name or f"{A.name}^", A.atoms, rule="dual", parts=(A,),
+                          keys=A.atoms)
+
+
+def _on_pairs(rule, A: CoherenceSpace, B: CoherenceSpace, name) -> CoherenceSpace:
+    keys = tuple(itertools.product(A.atoms, B.atoms))
+    atoms = tuple(pair_atom(a, b) for a, b in keys)
+    return CoherenceSpace(name, atoms, rule=rule, parts=(A, B), keys=keys)
 
 
 def coherence_tensor(A: CoherenceSpace, B: CoherenceSpace,
                      name: str = "") -> CoherenceSpace:
-    atoms = tuple(pair_atom(a, b) for a in A.atoms for b in B.atoms)
-    rel = set()
-    for (a, b) in itertools.product(A.atoms, B.atoms):
-        for (a2, b2) in itertools.product(A.atoms, B.atoms):
-            if A.coherent(a, a2) and B.coherent(b, b2):
-                rel.add((pair_atom(a, b), pair_atom(a2, b2)))
-    return CoherenceSpace(name or f"({A.name}⊗{B.name})", atoms, frozenset(rel))
+    return _on_pairs("tensor", A, B, name or f"({A.name}⊗{B.name})")
 
 
 def coherence_lolli(A: CoherenceSpace, B: CoherenceSpace,
                     name: str = "") -> CoherenceSpace:
-    atoms = tuple(pair_atom(a, b) for a in A.atoms for b in B.atoms)
-    rel = set()
-    for (a, b) in itertools.product(A.atoms, B.atoms):
-        for (a2, b2) in itertools.product(A.atoms, B.atoms):
-            cond1 = (not A.coherent(a, a2)) or B.coherent(b, b2)
-            cond2 = (not B.strictly_incoherent(b, b2)) or A.strictly_incoherent(a, a2)
-            if cond1 and cond2:
-                rel.add((pair_atom(a, b), pair_atom(a2, b2)))
-    return CoherenceSpace(name or f"({A.name}⊸{B.name})", atoms, frozenset(rel))
+    return _on_pairs("lolli", A, B, name or f"({A.name}⊸{B.name})")
+
+
+def coherence_bang(A: CoherenceSpace, labels, supports) -> CoherenceSpace:
+    """The multiset exponential, on multisets of A's atoms given by their
+    labels and supports: ξ ⌢ ξ′ iff their supports together are a clique."""
+    return CoherenceSpace(f"!{A.name}", tuple(labels), rule="bang", parts=(A,),
+                          keys=tuple(supports))
+
+
+def coherence_slice(T: CoherenceSpace, atoms, fixed, first: bool,
+                    name: str) -> CoherenceSpace:
+    """A factor of a space on a pair web, the other factor fixed at `fixed`."""
+    keys = tuple(pair_atom(x, fixed) if first else pair_atom(fixed, x)
+                 for x in atoms)
+    return CoherenceSpace(name, tuple(atoms), rule="slice", parts=(T,), keys=keys)
+
+
+def coherence_of(m: BasedModule) -> Optional[CoherenceSpace]:
+    """An I-module's coherence space, or None.  A free I-module is the
+    complete space: both admit every 0/1 vector and sum disjoint supports."""
+    if isinstance(m.presentation, CoherenceP):
+        return m.presentation.space
+    if isinstance(m.presentation, FreeP) and m.semiring is ISEMI:
+        return CoherenceSpace(m.name, m.web.atoms, rule="complete", keys=m.web.atoms)
+    return None
 
 
 def coherence_module(space: CoherenceSpace, web: Optional[Web] = None) -> BasedModule:
@@ -129,15 +181,11 @@ def F_embed(A: CoherenceSpace):
 
 def F_map(A: CoherenceSpace, B: CoherenceSpace, rel) -> LinMap:
     """A clique of A⊸B as a matrix; rejects non-cliques with a witness."""
-    rel = frozenset(rel)
-    lol = coherence_lolli(A, B)
-    for p, q in itertools.combinations_with_replacement(sorted(rel), 2):
-        if not lol.coherent(pair_atom(*p), pair_atom(*q)):
-            raise ModelError(f"not a clique of A⊸B: pairs {p} and {q} clash")
-    src, _ = F_embed(A)
-    dst, _ = F_embed(B)
-    entries = {(a, b): 1 for (a, b) in rel}
-    return LinMap(src, dst, Matrix.make(src.web, dst.web, entries), verified=True)
+    src, dst = coherence_module(A), coherence_module(B)
+    f = LinMap(src, dst, Matrix.make(src.web, dst.web, dict.fromkeys(rel, 1)))
+    if (rep := is_morphism(f)).ok is not True:
+        raise ModelError(f"not a clique of A⊸B: {rep.counterexample}")
+    return LinMap(src, dst, f.matrix, verified=True)
 
 
 def F_invert(g: LinMap) -> frozenset:

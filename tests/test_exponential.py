@@ -133,6 +133,20 @@ def test_structure_maps_are_morphisms():
     assert is_morphism(counit(B)).ok
 
 
+def test_comult_of_a_clique_bang_is_a_morphism_into_its_tensor_square():
+    # !A ⊗ !A has 400 atoms (160,000 coherent pairs); no relation is stored,
+    # and the check tests the 84 entries' 84·85/2 pairs by the ⊸ rule
+    A = coherence_space("A", ("a", "b", "c"), itertools.combinations("abc", 2))
+    B = bang(*F_embed(A), 3)
+    basis = bang_basis(B)
+    T, _ = tensor_obj(B.module, B.module, basis, basis)
+    delta = comult(B).matrix
+    assert len(B.web) == 20 and len(delta.entries) == 84
+    assert T.presentation.space.coh is None
+    rep = is_morphism(LinMap(B.module, T, delta))
+    assert (rep.ok, rep.strategy, rep.checked) == (True, "coherence", 3570)
+
+
 # ---------------------------------------------------------------------------
 # comonoid laws
 

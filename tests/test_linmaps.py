@@ -1,10 +1,14 @@
 import gc
+import importlib.util
+import itertools
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from smodlab.basedmod import (UNKNOWN, FreeP, IntegrityError, WebMismatch,
+                              enumerated_module,
                               product_module, vec, web)
 from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
                              dual_and_eta, format_matrix, functional,
@@ -101,6 +105,53 @@ def test_is_morphism_coherence_strategy():
     m = tri_mod()
     rep = is_morphism(identity(m))
     assert rep.ok and rep.strategy == "coherence"
+
+
+def _benchmark_reference():
+    """The benchmark's known answers, computed without smodlab."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _coherence_spaces(max_atoms):
+    for n in range(1, max_atoms + 1):
+        atoms = tuple("abc"[:n])
+        offdiag = list(itertools.combinations(atoms, 2))
+        for bits in range(2 ** len(offdiag)):
+            yield coherence_module(coherence_space(
+                f"S{n}_{bits}", atoms, [p for i, p in enumerate(offdiag) if bits >> i & 1]))
+
+
+def test_is_morphism_into_and_out_of_free_I_matches_enumeration():
+    # a free I-module is the complete coherence space: every 0/1 matrix
+    # between such modules gets the coherence verdict the enumeration gives
+    reference = _benchmark_reference()
+    free = [free_module(I, web(*"xy"[:n]), f"free{n}") for n in (1, 2)]
+    sources = list(_coherence_spaces(3)) + free
+    targets = free + list(_coherence_spaces(2))
+    for src in sources:
+        src_enum = enumerated_module(I, src.web, src.carrier_vectors())
+        for dst in targets:
+            dst_enum = enumerated_module(I, dst.web, dst.carrier_vectors())
+            cells = list(itertools.product(src.web.atoms, dst.web.atoms))
+            for bits in range(2 ** len(cells)):
+                entries = {c: 1 for i, c in enumerate(cells) if bits >> i & 1}
+                rep = is_morphism(linmap(src, dst, entries))
+                oracle = is_morphism(linmap(src_enum, dst_enum, entries))
+                assert (rep.strategy, oracle.strategy) == ("coherence", "enumerated")
+                assert rep.ok is oracle.ok, (src, dst, entries)
+                if src in free and dst in free:
+                    assert rep.ok is reference.free_morphism("I", entries)
+
+
+def test_basis_of_a_coherence_module_needs_no_enumerated_functional():
+    m, basis = F_embed(coherence_space("A", ("a", "b", "c"), [("a", "b")]))
+    reps = [is_morphism(phi) for _, phi in basis.pairs]
+    assert all(r.ok is True and r.strategy == "coherence" for r in reps)
+    assert validate_basis(m, basis).ok is True
 
 
 def test_is_morphism_polytope_strategy():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 from smodlab import ratlp
 from smodlab.basedmod import Web, WebMismatch, vec, vec_sum, web
 from smodlab.linmaps import apply, is_morphism, matrix_of, validate_basis
+from smodlab.exponential import bang
 from smodlab.models import (BoundExceeded, CoherenceSpace, F_embed, F_invert,
                             F_map, FinitenessSpace, ModelError,
                             coherence_dual, coherence_lolli, coherence_module,
-                            coherence_space, coherence_tensor, fin_dual,
-                            finiteness_module, glue_is_morphism,
+                            coherence_slice, coherence_space, coherence_tensor,
+                            fin_dual, finiteness_module, glue_is_morphism,
                             glue_tight_closure, pcoh_bipolar_member,
                             pcoh_dual, pcoh_gamma_and_basis, pcoh_space,
                             wrel_compose, H_embed, H_map)
@@ -77,6 +79,126 @@ def test_F_functor_round_trip():
     bad = frozenset({("a", "x"), ("b", "x")})
     with pytest.raises(ModelError):
         F_map(A, B_, bad)
+
+
+def test_F_map_names_the_clashing_pairs():
+    A, B_ = tri(), coherence_space("B", ("x", "y"), [("x", "y")])
+    with pytest.raises(ModelError, match=r"pairs \('a', 'x'\) and \('b', 'x'\)"):
+        F_map(A, B_, {("a", "x"), ("b", "x")})
+
+
+# The materialising constructions that connectives used before they answered by
+# rule, kept as the oracle: each stores the whole relation as pairs.
+
+
+def stored(name, atoms, rel):
+    return CoherenceSpace(name, tuple(atoms), frozenset(rel))
+
+
+def materialised_dual(A):
+    return stored(f"{A.name}^", A.atoms, {(a, b) for a in A.atoms for b in A.atoms
+                                          if A.strictly_incoherent(a, b)})
+
+
+def materialised_tensor(A, B_):
+    atoms = tuple(f"({a},{b})" for a in A.atoms for b in B_.atoms)
+    rel = set()
+    for (a, b) in itertools.product(A.atoms, B_.atoms):
+        for (a2, b2) in itertools.product(A.atoms, B_.atoms):
+            if A.coherent(a, a2) and B_.coherent(b, b2):
+                rel.add((f"({a},{b})", f"({a2},{b2})"))
+    return stored("⊗", atoms, rel)
+
+
+def materialised_lolli(A, B_):
+    atoms = tuple(f"({a},{b})" for a in A.atoms for b in B_.atoms)
+    rel = set()
+    for (a, b) in itertools.product(A.atoms, B_.atoms):
+        for (a2, b2) in itertools.product(A.atoms, B_.atoms):
+            cond1 = (not A.coherent(a, a2)) or B_.coherent(b, b2)
+            cond2 = (not B_.strictly_incoherent(b, b2)) or A.strictly_incoherent(a, a2)
+            if cond1 and cond2:
+                rel.add((f"({a},{b})", f"({a2},{b2})"))
+    return stored("⊸", atoms, rel)
+
+
+def materialised_bang(A, multisets):
+    rel = {(x1.label, x2.label) for x1 in multisets for x2 in multisets
+           if A.is_clique(x1.support | x2.support)}
+    return stored(f"!{A.name}", [xi.label for xi in multisets], rel)
+
+
+def materialised_slice(T, atoms, other, first):
+    rel = set()
+    for x in atoms:
+        for y in atoms:
+            pair = (f"({x},{other[0]})", f"({y},{other[0]})") if first \
+                else (f"({other[0]},{x})", f"({other[0]},{y})")
+            if T.coherent(*pair):
+                rel.add((x, y))
+    return stored("slice", atoms, rel)
+
+
+def all_coherence_spaces(max_atoms):
+    """Every reflexive symmetric relation on 1..max_atoms atoms."""
+    out = []
+    for n in range(1, max_atoms + 1):
+        atoms = tuple("abc"[:n])
+        offdiag = list(itertools.combinations(atoms, 2))
+        for bits in range(2 ** len(offdiag)):
+            pairs = [p for i, p in enumerate(offdiag) if bits >> i & 1]
+            out.append(coherence_space(f"S{n}_{bits}", atoms, pairs))
+    return out
+
+
+def assert_same_relation(space, oracle):
+    # a space built by a connective stores no pairs, yet has the same relation
+    assert space.coh is None and space.atoms == oracle.atoms
+    for a in oracle.atoms:
+        for b in oracle.atoms:
+            assert space.coherent(a, b) == oracle.coherent(a, b), (space.name, a, b)
+            assert space.strictly_incoherent(a, b) == oracle.strictly_incoherent(a, b)
+
+
+def test_connectives_by_rule_match_their_materialised_relations():
+    spaces = all_coherence_spaces(3)
+    assert len(spaces) == 11
+    for A in spaces:
+        assert_same_relation(coherence_dual(A), materialised_dual(A))
+        for B_ in spaces:
+            T, oracle_T = coherence_tensor(A, B_), materialised_tensor(A, B_)
+            assert_same_relation(T, oracle_T)
+            assert_same_relation(coherence_lolli(A, B_), materialised_lolli(A, B_))
+            for atoms, other, first in ((A.atoms, B_.atoms, True),
+                                        (B_.atoms, A.atoms, False)):
+                assert_same_relation(coherence_slice(T, atoms, other[0], first, "slice"),
+                                     materialised_slice(oracle_T, atoms, other, first))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_multiset_bang_by_rule_matches_its_materialised_relation(degree):
+    for A in all_coherence_spaces(3):
+        B_ = bang(*F_embed(A), degree)
+        assert_same_relation(B_.module.presentation.space,
+                             materialised_bang(A, B_.multisets))
+
+
+def test_connectives_of_derived_spaces_match_their_materialised_relations():
+    # parts that are themselves built by rule: (A ⊗ B) ⊸ C and its dual
+    spaces = all_coherence_spaces(2)
+    for A, B_, C in itertools.product(spaces, repeat=3):
+        L = coherence_lolli(coherence_tensor(A, B_), C)
+        oracle = materialised_lolli(materialised_tensor(A, B_), C)
+        assert_same_relation(L, oracle)
+        assert_same_relation(coherence_dual(L), materialised_dual(oracle))
+
+
+def test_derived_spaces_are_structural_values():
+    A, B_ = tri(), coherence_space("B", ("x", "y"), [("x", "y")])
+    L = coherence_lolli(A, B_)
+    assert L == coherence_lolli(A, B_) and hash(L) == hash(coherence_lolli(A, B_))
+    assert L != coherence_lolli(B_, A)
+    assert coherence_module(L) == coherence_module(coherence_lolli(A, B_))
 
 
 def test_F_embed_basis_validates():

@@ -86,3 +86,15 @@ def test_no_dead_private_definitions_in_the_library():
     found = [f"{where} {name}" for where, name, own in defined
              if not any(name in names for i, names in enumerate(reads) if i != own)]
     assert not found, found
+
+
+def _builds_a_coherence_space(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CoherenceSpace")
+
+
+def test_only_models_builds_coherence_spaces():
+    # how a coherence relation is represented is known in one module
+    found = [where for where in _library_nodes(_builds_a_coherence_space)
+             if not where.startswith("models.py:")]
+    assert not found, found
