@@ -387,13 +387,6 @@ class ProductP(Presentation):
             out.append(Vector.make(part.web, coords))
         return out
 
-    def join(self, module, pieces) -> Vector:
-        coords = {}
-        for (prefix, _), piece in zip(self.parts, pieces):
-            for a, x in piece.entries:
-                coords[prefix + a] = x
-        return Vector.make(module.web, coords)
-
     def admits(self, module, v):
         pieces = self.split(module, v)
         if not all(p.admits(piece) for (_, p), piece in zip(self.parts, pieces)):
@@ -495,13 +488,14 @@ def vec_sum(m: BasedModule, fams):
     Coordinate-wise in the semiring, gated by membership of the result.
     Returns a Vector or UNDEF.  Non-member inputs raise MembershipError.
     """
-    fams = list(fams)
-    for v, _ in fams:
+    columns = {a: [] for a in m.web.atoms}
+    for v, mult in fams:
         m.require(v)
+        for a, x in v.entries:
+            columns[a].append((x, mult))
     coords = {}
-    for a in m.web.atoms:
-        fam = tuple((v.value(a), mult) for v, mult in fams if v.value(a) != 0)
-        got = m.presentation.coord_sum(m, fam)
+    for a, fam in columns.items():
+        got = m.presentation.coord_sum(m, tuple(fam))
         if got is UNDEF:
             return UNDEF
         if got != 0:
@@ -530,34 +524,29 @@ def scalar_action(m: BasedModule, r, v: Vector) -> Vector:
 
 def product_module(ms: Sequence[BasedModule], name: str = "") -> BasedModule:
     """Product: disjoint-union web, componentwise membership and sums."""
-    ms = list(ms)
-    if not ms:
-        from .scalars import I as _I
-        return zero_module(_I)
-    s = ms[0].semiring
-    if any(m.semiring is not s for m in ms):
-        raise ValueError("product requires a shared semiring")
-    if len(ms) == 1:
-        return ms[0]
-    parts = tuple((f"{i}.", m) for i, m in enumerate(ms))
-    atoms = tuple(f"{i}.{a}" for i, m in enumerate(ms) for a in m.web.atoms)
-    return BasedModule(s, Web(atoms), ProductP(parts), name)
+    return _on_disjoint_web(ms, name, at_most_one=False)
 
 
 def coproduct_module(ms: Sequence[BasedModule], name: str = "") -> BasedModule:
     """Coproduct: like the product but at most one nonzero component."""
+    return _on_disjoint_web(ms, name, at_most_one=True)
+
+
+def _on_disjoint_web(ms, name: str, at_most_one: bool) -> BasedModule:
+    """The (co)product of `ms` on the disjoint union of their webs."""
     ms = list(ms)
     if not ms:
         from .scalars import I as _I
         return zero_module(_I)
     s = ms[0].semiring
     if any(m.semiring is not s for m in ms):
-        raise ValueError("coproduct requires a shared semiring")
+        kind = "coproduct" if at_most_one else "product"
+        raise ValueError(f"{kind} requires a shared semiring")
     if len(ms) == 1:
         return ms[0]
     parts = tuple((f"{i}.", m) for i, m in enumerate(ms))
     atoms = tuple(f"{i}.{a}" for i, m in enumerate(ms) for a in m.web.atoms)
-    return BasedModule(s, Web(atoms), ProductP(parts, at_most_one=True), name)
+    return BasedModule(s, Web(atoms), ProductP(parts, at_most_one), name)
 
 
 def equalizer_submodule(f, g) -> BasedModule:
@@ -587,7 +576,9 @@ def classify_submodule(sub: BasedModule, sup: BasedModule,
     the three sub-verdicts in that order.
 
     Enumerates carriers when possible, otherwise samples; a verdict the
-    bounds cannot settle is UNKNOWN, never silently False.
+    bounds cannot settle is UNKNOWN, never silently False.  Sums and the
+    order are checked from the first 12 sub carrier vectors only: beyond
+    them an enumerated carrier leaves each unrefuted sub-verdict UNKNOWN.
     """
     import random
     if sub.web != sup.web:
@@ -610,7 +601,7 @@ def classify_submodule(sub: BasedModule, sup: BasedModule,
 
     not_sub = not_reflecting = None
     families = 0
-    base = sub_carrier if len(sub_carrier) <= 12 else sub_carrier[:12]
+    base = sub_carrier[:12]
     for fam in _module_sum_families(base, max_entries):
         families += 1
         in_sub = vec_sum(sub, fam)
@@ -639,11 +630,16 @@ def classify_submodule(sub: BasedModule, sup: BasedModule,
         if down is False:
             break
 
-    return Verdict.all(what, (
-        Verdict("submodule", not_sub is None, strategy, families, not_sub),
-        Verdict("sum-reflecting", not_reflecting is None, strategy, families,
-                not_reflecting),
-        Verdict("downward-closed", down, strategy, pairs, below)))
+    checks = (Verdict("submodule", not_sub is None, strategy, families, not_sub),
+              Verdict("sum-reflecting", not_reflecting is None, strategy, families,
+                      not_reflecting),
+              Verdict("downward-closed", down, strategy, pairs, below))
+    if strategy == "enumerated" and len(base) < len(sub_carrier):
+        cut = (f"cut short by its bound: only the first {len(base)} of "
+               f"{len(sub_carrier)} carrier vectors were checked")
+        checks = tuple(Verdict(c.what, UNKNOWN, strategy, c.checked, cut)
+                       if c.ok is True else c for c in checks)
+    return Verdict.all(what, checks)
 
 
 def _sample_vectors(m: BasedModule, rng, count: int):

@@ -25,8 +25,8 @@ from .basedmod import (UNKNOWN, BasedModule, CoherenceP, FreeP, IntegrityError,
                        vec_sum)
 from .linmaps import (CARRIER_CAP, DualBasis, LinMap, Matrix, apply,
                       free_module, gamma_basis, scalar_of, semiring_module,
-                      spanning_members, tensor_obj, unit_basis,
-                      validate_basis)
+                      spanning_members, sparse_product, tensor_obj,
+                      unit_basis, validate_basis)
 from . import ratlp
 
 
@@ -195,28 +195,20 @@ class SymGradedP(Presentation):
     """Membership via the graded map into tensor powers.
 
     ``layers`` maps degree n to (tensor power module, orbit-coordinate table):
-    the table sends each admissible ξ of degree n to the coordinates of e_ξ
-    in the power's web.
+    the table is the layer map's matrix, whose entry ((a, ξ), x) is the
+    coordinate x of e_ξ at the atom a of the power's web, for each
+    admissible ξ of degree n.
     """
 
-    layers: tuple   # ((degree, tensor module, ((label, coords-tuple), ...)), ...)
+    layers: tuple   # ((degree, tensor module, (((atom, label), x), ...)), ...)
 
     def admits(self, module, v):
-        s = module.semiring
         for degree, T, table in self.layers:
-            coords = {}
-            for label, e_coords in table:
-                r = v.value(label)
-                if r == 0:
-                    continue
-                for a, x in e_coords:
-                    t = s.ambient_mul(r, x)
-                    got = s.ambient_sum((coords[a], t) if a in coords else (t,))
-                    if got is UNDEF:
-                        return False
-                    coords[a] = got
-            w = vec(T.web, {a: x for a, x in coords.items() if x != 0})
-            if not T.admits(w):
+            coords, undefined = sparse_product(
+                module.semiring, table, (((label, 0), r) for label, r in v.entries))
+            if undefined is not None:
+                return False
+            if not T.admits(vec(T.web, {a: x for (a, _), x in coords.items()})):
                 return False
         # coordinates at atoms outside every layer table are not possible:
         # the module web is exactly the union of layer labels
@@ -241,10 +233,8 @@ class SymGradedP(Presentation):
             tpos = {a: i for i, a in enumerate(T.web.atoms)}
             for dvec in ratlp.polar_vertices(gens, len(T.web.atoms)):
                 row = [Fraction(0)] * len(atoms)
-                for label, e_coords in table:
-                    row[idx[label]] = sum(
-                        (Fraction(dvec[tpos[a]]) * Fraction(x)
-                         for a, x in e_coords), Fraction(0))
+                for (a, label), x in table:
+                    row[idx[label]] += Fraction(dvec[tpos[a]]) * Fraction(x)
                 if any(row):
                     rows.append(tuple(row))
         return tuple(ratlp.pruned_polar(ratlp.prune_dominated(rows), len(atoms)))
@@ -265,8 +255,7 @@ def _sym_layer(V: BasedModule, basis: DualBasis, T: BasedModule,
         if gamma.basis_kind == "zero":
             continue
         admissible.append((xi, gamma))
-        table.append((xi.label, tuple((a, x) for a, x in coords.items()
-                                      if x != 0)))
+        table += (((a, xi.label), x) for a, x in coords.items() if x != 0)
     return admissible, tuple(table)
 
 

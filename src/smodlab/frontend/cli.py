@@ -13,6 +13,7 @@ form has the keys `what`, `ok` (true, false or "unknown"), `strategy`,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -204,6 +205,7 @@ def cmd_report(args) -> int:
     return _verdict(args, Verdict.all("report", checks))
 
 
+@functools.cache  # a parser is reusable, and building one is not cheap
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="smodlab",

@@ -65,9 +65,7 @@ def _shift_basis(whole: BasedModule, part: Denotation, prefix: str) -> tuple:
     pairs = []
     for e, phi in part.basis.pairs:
         e2 = vec(whole.web, {f"{prefix}{a}": v for a, v in e.entries})
-        coeffs = {f"{prefix}{a}": phi.matrix.entry(a, "*")
-                  for a in part.module.web.atoms
-                  if phi.matrix.entry(a, "*") != 0}
+        coeffs = {f"{prefix}{a}": v for a, v in phi.matrix.column("*")}
         pairs.append((e2, functional(whole, coeffs, part.module.semiring)))
     return tuple(pairs)
 

@@ -1,13 +1,16 @@
 """Linear maps as web-indexed matrices between based modules.
 
-Compositions are matrix products in the coefficient semiring's ambient
+Every matrix product in the library, vector-by-matrix included, is one
+sparse product (`sparse_product`) in the coefficient semiring's ambient
 arithmetic (`Semiring.ambient_mul` / `ambient_sum`): its own partial sum, or
 exact Q>=0 for rational carriers, with definedness enforced by membership of
-the results rather than per-entry carrier bounds.
+the results rather than per-entry carrier bounds.  A `Matrix` indexes its
+cells once, so `entry` is a lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -28,10 +31,7 @@ class Matrix:
 
     @staticmethod
     def make(src_web: Web, dst_web: Web, entries) -> "Matrix":
-        if isinstance(entries, dict):
-            items = entries
-        else:
-            items = dict(entries)
+        items = dict(entries)
         src_atoms, dst_atoms = set(src_web.atoms), set(dst_web.atoms)
         for a, b in items:
             if a not in src_atoms or b not in dst_atoms:
@@ -41,11 +41,13 @@ class Matrix:
                       if (a, b) in items and items[(a, b)] != 0)
         return Matrix(src_web, dst_web, canon)
 
+    @functools.cached_property
+    def _cells(self) -> dict:
+        """Each cell's value, indexed once; not part of ==, hash or repr."""
+        return dict(self.entries)
+
     def entry(self, a, b):
-        for (x, y), v in self.entries:
-            if x == a and y == b:
-                return v
-        return 0
+        return self._cells.get((a, b), 0)
 
     def column(self, b):
         return [((a, v)) for (a, y), v in self.entries if y == b]
@@ -118,14 +120,31 @@ def zero_map(src: BasedModule, dst: BasedModule) -> LinMap:
 # application / composition
 
 
-def _entry_products(f: LinMap, x: Vector, b):
-    mul = f.src.semiring.ambient_mul
-    for (a, bb), m_ab in f.matrix.entries:
-        if bb != b:
-            continue
-        xa = x.value(a)
-        if xa != 0:
-            yield mul(m_ab, xa)
+def sparse_product(s: Semiring, left, right):
+    """The product of two sparse matrices given as ((i, j), v) and
+    ((j, k), w) entries, in the ambient arithmetic of `s`.
+
+    Each product is `s.ambient_mul(w, v)`, and each output cell is summed
+    once by `s.ambient_sum` over its terms in the order of `left`.  Returns
+    (cells, None) with the nonzero cells {(i, k): value}, or (None, cell)
+    for the first cell whose sum is undefined.
+    """
+    rows = {}
+    for (j, k), w in right:
+        rows.setdefault(j, []).append((k, w))
+    mul = s.ambient_mul
+    terms = {}
+    for (i, j), v in left:
+        for k, w in rows.get(j, ()):
+            terms.setdefault((i, k), []).append(mul(w, v))
+    cells = {}
+    for cell, ts in terms.items():
+        got = s.ambient_sum(ts)
+        if got is UNDEF:
+            return None, cell
+        if got != 0:
+            cells[cell] = got
+    return cells, None
 
 
 def apply(f: LinMap, x: Vector):
@@ -136,18 +155,11 @@ def apply(f: LinMap, x: Vector):
 
 def _image(f: LinMap, x: Vector):
     """`apply` for an x already known to be a member of f.src."""
-    s = f.src.semiring
-    coords = {}
-    for b in f.dst.web.atoms:
-        terms = list(_entry_products(f, x, b))
-        if not terms:
-            continue
-        got = s.ambient_sum(terms)
-        if got is UNDEF:
-            return UNDEF
-        if got != 0:
-            coords[b] = got
-    out = vec(f.dst.web, coords)
+    cells, undefined = sparse_product(
+        f.src.semiring, (((0, a), xa) for a, xa in x.entries), f.matrix.entries)
+    if undefined is not None:
+        return UNDEF
+    out = vec(f.dst.web, {b: v for (_, b), v in cells.items()})
     if not f.dst.admits(out):
         return UNDEF
     return out
@@ -157,23 +169,11 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
     """Matrix product (g after f); an undefined entry is an integrity error."""
     if f.dst.web != g.src.web:
         raise WebMismatch(f"middle webs differ: {f.dst.web} vs {g.src.web}")
-    s = f.src.semiring
-    entries = {}
-    for a in f.src.web.atoms:
-        for c in g.dst.web.atoms:
-            terms = []
-            for b in f.dst.web.atoms:
-                fab, gbc = f.matrix.entry(a, b), g.matrix.entry(b, c)
-                if fab != 0 and gbc != 0:
-                    terms.append(s.ambient_mul(gbc, fab))
-            if not terms:
-                continue
-            got = s.ambient_sum(terms)
-            if got is UNDEF:
-                raise IntegrityError(
-                    f"composition entry ({a},{c}) has an undefined sum")
-            if got != 0:
-                entries[(a, c)] = got
+    entries, undefined = sparse_product(f.src.semiring, f.matrix.entries,
+                                        g.matrix.entries)
+    if undefined is not None:
+        raise IntegrityError(
+            "composition entry ({},{}) has an undefined sum".format(*undefined))
     return LinMap(f.src, g.dst,
                   Matrix.make(f.src.web, g.dst.web, entries),
                   verified=f.verified and g.verified)

@@ -15,10 +15,10 @@ from typing import Iterable, Optional
 
 from .scalars import F as FSEMI
 from .scalars import I as ISEMI
-from .scalars import INF, NINF, UNDEF, UNIT, Semiring
+from .scalars import INF, NINF, UNIT, Semiring
 from .basedmod import (BasedModule, CoherenceP, FinitenessP, FreeP,
                        IntegrityError, PolytopeP, Web, WebMismatch, pair_atom)
-from .linmaps import LinMap, Matrix, gamma_basis, is_morphism
+from .linmaps import LinMap, Matrix, gamma_basis, is_morphism, sparse_product
 from . import ratlp
 
 
@@ -348,25 +348,8 @@ class GlueObject:
                 and self.x == _polar(self.u, carrier))
 
 
-def _ninf_mul(a, b):
-    if a == 0 or b == 0:
-        return 0
-    if a is INF or b is INF:
-        return INF
-    return a * b
-
-
-def _ninf_sum(terms):
-    total = 0
-    for t in terms:
-        if t is INF:
-            return INF
-        total += t
-    return total
-
-
 def glue_pairing(u, x):
-    return _ninf_sum(_ninf_mul(a, b) for a, b in zip(u, x))
+    return NINF.ambient_sum(NINF.ambient_mul(a, b) for a, b in zip(u, x))
 
 
 def _glue_carrier(dim: int, bound: int):
@@ -408,16 +391,14 @@ def glue_is_morphism(f: Matrix, A: GlueObject, B: GlueObject) -> bool:
     if f.src_web != A.web or f.dst_web != B.web:
         raise WebMismatch("matrix webs do not match the glue objects")
     for u in A.u:
-        img = tuple(_ninf_sum(_ninf_mul(f.entry(a, b), ua)
-                              for a, ua in zip(A.web.atoms, u))
-                    for b in B.web.atoms)
-        if img not in B.u:
+        img, _ = sparse_product(NINF, (((0, a), v) for a, v in zip(A.web.atoms, u)),
+                                f.entries)
+        if tuple(img.get((0, b), 0) for b in B.web.atoms) not in B.u:
             return False
     for x in B.x:
-        pre = tuple(_ninf_sum(_ninf_mul(f.entry(a, b), xb)
-                              for b, xb in zip(B.web.atoms, x))
-                    for a in A.web.atoms)
-        if pre not in A.x:
+        pre, _ = sparse_product(NINF, f.entries,
+                                (((b, 0), v) for b, v in zip(B.web.atoms, x)))
+        if tuple(pre.get((a, 0), 0) for a in A.web.atoms) not in A.x:
             return False
     return True
 
@@ -429,15 +410,9 @@ def wrel_compose(s: Semiring, f: Matrix, g: Matrix) -> Matrix:
             f"{s.name} is not complete; use linmaps.compose for partial sums")
     if f.dst_web != g.src_web:
         raise WebMismatch("middle webs differ")
-    entries = {}
-    for a in f.src_web.atoms:
-        for c in g.dst_web.atoms:
-            terms = [s.ambient_mul(g.entry(b, c), f.entry(a, b))
-                     for b in f.dst_web.atoms]
-            got = s.ambient_sum(t for t in terms if t != 0)
-            if got is UNDEF:
-                raise ModelError(f"entry ({a},{c}) has an undefined sum "
-                                 f"in the complete semiring {s.name}")
-            if got != 0:
-                entries[(a, c)] = got
+    entries, undefined = sparse_product(s, f.entries, g.entries)
+    if undefined is not None:
+        a, c = undefined
+        raise ModelError(f"entry ({a},{c}) has an undefined sum "
+                         f"in the complete semiring {s.name}")
     return Matrix.make(f.src_web, g.dst_web, entries)

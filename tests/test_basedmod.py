@@ -114,6 +114,15 @@ def test_verdict_conjunction_puts_false_before_unknown():
     assert Verdict.all("all", (u,)).as_json()["ok"] == "unknown"
 
 
+def test_classify_beyond_its_summed_vectors_is_unknown():
+    # 16 enumerated carrier vectors, of which only the first 12 are summed
+    m = free_module(B, web("a", "b", "c", "d"))
+    rep = classify_submodule(m, m)
+    assert [c.ok for c in rep.checks] == [UNKNOWN] * 3
+    assert all("first 12 of 16" in c.counterexample for c in rep.checks)
+    assert all(c.strategy == "enumerated" for c in rep.checks)
+
+
 def test_classify_requires_shared_web():
     with pytest.raises(WebMismatch):
         classify_submodule(free_module(I, web("a")), free_module(I, web("b")))

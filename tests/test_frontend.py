@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -229,6 +230,21 @@ def test_cli_glue_and_morphism(ws_file):
 def test_cli_json_format(ws_file, capsys):
     assert main(["--format", "json", "bipolar", ws_file, "P", "(1/3, 1/3)"]) == 0
     assert json.loads(capsys.readouterr().out) == {"member": True}
+
+
+def test_cli_builds_its_parser_once(ws_file, capsys, monkeypatch):
+    assert main(["show-matrix", ws_file, "swap"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["--format", "json", "show-matrix", ws_file, "swap"]) == 0
+    assert built == []
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {"matrix": "0 1; 1 0"}
 
 
 def test_cli_usage_errors(ws_file):

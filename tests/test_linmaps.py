@@ -58,6 +58,15 @@ def test_matrix_transpose_and_entry():
     assert mat.transpose().entry("y", "a") == 1
 
 
+def test_matrix_cell_index_takes_no_part_in_equality():
+    w = web("a", "b")
+    looked_up = Matrix.make(w, w, {("a", "b"): 1})
+    assert looked_up.entry("a", "b") == 1 and looked_up.entry("b", "a") == 0
+    fresh = Matrix.make(w, w, {("a", "b"): 1})
+    assert looked_up == fresh and hash(looked_up) == hash(fresh)
+    assert repr(looked_up) == repr(fresh)
+
+
 # ---------------------------------------------------------------------------
 # application and composition
 

@@ -338,6 +338,25 @@ def test_glue_morphism_and_wrel():
         wrel_compose(I, ident, ident)  # needs a complete semiring
 
 
+def test_glue_rejects_a_map_that_leaves_the_vectors():
+    w = web("a")
+    obj = glue_tight_closure(w, [(0,), (1,)], bound=1)
+    double = Matrix.make(w, w, {("a", "a"): 2})
+    assert glue_is_morphism(double, obj, obj) is False  # 2·(1) is not in U
+
+
+def test_wrel_compose_with_infinite_weights():
+    w = web("a", "b")
+    f = Matrix.make(w, w, {("a", "a"): INF, ("a", "b"): 1, ("b", "b"): 2})
+    g = Matrix.make(w, w, {("a", "a"): 2, ("b", "a"): 3, ("b", "b"): INF})
+    # (a,a) = ∞·2 + 1·3 = ∞, (a,b) = 1·∞, (b,a) = 2·3, (b,b) = 2·∞
+    assert wrel_compose(NINF, f, g) == Matrix.make(
+        w, w, {("a", "a"): INF, ("a", "b"): INF, ("b", "a"): 6, ("b", "b"): INF})
+    # ∞·0 = 0: no ∞ reaches a cell through a zero entry
+    assert wrel_compose(NINF, f, Matrix.make(w, w, {("b", "a"): 1})) == Matrix.make(
+        w, w, {("a", "a"): 1, ("b", "a"): 2})
+
+
 def test_coherence_over_B_rejected():
     # B satisfies x + x = x, which collapses the clique structure
     from smodlab.basedmod import BasedModule, CoherenceP
