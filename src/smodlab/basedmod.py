@@ -263,25 +263,6 @@ class CoherenceP(Presentation):
 
 
 @dataclass(frozen=True)
-class FinitenessP(Presentation):
-    """0/1 vectors over F; every support is admitted at a finite web."""
-
-    space: object  # models.FinitenessSpace
-
-    def check_semiring(self, s):
-        if s.name != "F":
-            raise ValueError(f"finiteness presentation requires F, got {s.name}")
-
-    def admits(self, module, v):
-        if any(x != 1 for _, x in v.entries):
-            return False
-        return self.space.admits_support(v.support)
-
-    def __repr__(self):
-        return f"finiteness({self.space.name})"
-
-
-@dataclass(frozen=True)
 class PolytopeP(Presentation):
     """Non-negative rational vectors in a polytope over a [0,1] action.
 
@@ -396,9 +377,13 @@ class ProductP(Presentation):
             return nonzero <= 1
         return True
 
-    def coord_sum(self, module, fam):
-        # every coordinate belongs to exactly one component
-        return module.semiring.sum_family(fam)
+    def polytope(self, module):
+        # a product of down-closed hulls is the hull of the concatenated
+        # generator pairs; a coproduct is not a product of its parts
+        gens = [p.presentation.polytope(p) for _, p in self.parts]
+        if self.at_most_one or None in gens:
+            return None
+        return tuple(sum(pick, ()) for pick in itertools.product(*gens))
 
     def __repr__(self):
         tag = "coproduct" if self.at_most_one else "product"
@@ -533,7 +518,10 @@ def coproduct_module(ms: Sequence[BasedModule], name: str = "") -> BasedModule:
 
 
 def _on_disjoint_web(ms, name: str, at_most_one: bool) -> BasedModule:
-    """The (co)product of `ms` on the disjoint union of their webs."""
+    """The (co)product of `ms` on the disjoint union of their webs, atoms
+    `i.a`: the coherence space A & B or A ⊕ B when every part is a coherence
+    carrier, the free module for a product of free modules, else a ProductP."""
+    from .models import coherence_module, coherence_of, coherence_sum
     ms = list(ms)
     if not ms:
         from .scalars import I as _I
@@ -544,9 +532,14 @@ def _on_disjoint_web(ms, name: str, at_most_one: bool) -> BasedModule:
         raise ValueError(f"{kind} requires a shared semiring")
     if len(ms) == 1:
         return ms[0]
+    spaces = [coherence_of(m) for m in ms]
+    if None not in spaces:
+        return coherence_module(coherence_sum(spaces, not at_most_one, name))
+    atoms = Web(tuple(f"{i}.{a}" for i, m in enumerate(ms) for a in m.web.atoms))
+    if not at_most_one and all(isinstance(m.presentation, FreeP) for m in ms):
+        return BasedModule(s, atoms, FreeP(), name)
     parts = tuple((f"{i}.", m) for i, m in enumerate(ms))
-    atoms = tuple(f"{i}.{a}" for i, m in enumerate(ms) for a in m.web.atoms)
-    return BasedModule(s, Web(atoms), ProductP(parts, at_most_one), name)
+    return BasedModule(s, atoms, ProductP(parts, at_most_one), name)
 
 
 def equalizer_submodule(f, g) -> BasedModule:

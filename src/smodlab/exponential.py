@@ -20,13 +20,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .scalars import RPOS, UNDEF
-from .basedmod import (UNKNOWN, BasedModule, CoherenceP, FreeP, IntegrityError,
+from .basedmod import (UNKNOWN, BasedModule, FreeP, IntegrityError,
                        Presentation, Vector, Verdict, Web, pair_atom, vec,
                        vec_sum)
 from .linmaps import (CARRIER_CAP, DualBasis, LinMap, Matrix, apply,
                       free_module, gamma_basis, scalar_of, semiring_module,
                       spanning_members, sparse_product, tensor_obj,
                       unit_basis, validate_basis)
+from .models import coherence_bang, coherence_module, coherence_of
 from . import ratlp
 
 
@@ -259,11 +260,10 @@ def _sym_layer(V: BasedModule, basis: DualBasis, T: BasedModule,
     return admissible, tuple(table)
 
 
-def sym_power(V: BasedModule, basis: DualBasis, n: int,
-              bound: int = DEGREE_CAP):
+def sym_power(V: BasedModule, basis: DualBasis, n: int):
     """Symmetric n-th power with the multiset basis (γ_ξ·δ_ξ, x(ξ)/γ_ξ)."""
-    if n > bound:
-        raise ExponentialError(f"degree {n} exceeds the bound {bound}")
+    if n > DEGREE_CAP:
+        raise ExponentialError(f"degree {n} exceeds the bound {DEGREE_CAP}")
     if not basis.orthogonal:
         raise ExponentialError("sym_power needs an orthogonal base basis")
     T, tb = _tensor_powers(V, basis, n)[-1]
@@ -288,11 +288,11 @@ class TruncatedBang:
         return self.module.web
 
 
-def bang(V: BasedModule, basis: DualBasis, d: int,
-         bound: int = DEGREE_CAP) -> TruncatedBang:
-    """Degree-≤-d fragment of the cofree exponential."""
-    if d > bound:
-        raise ExponentialError(f"degree {d} exceeds the bound {bound}")
+def bang(V: BasedModule, basis: DualBasis, d: int) -> TruncatedBang:
+    """Degree-≤-d fragment of the cofree exponential.  On a coherence carrier
+    with the canonical basis e_a = δ_a it is the multiset exponential !A."""
+    if d > DEGREE_CAP:
+        raise ExponentialError(f"degree {d} exceeds the bound {DEGREE_CAP}")
     if not basis.orthogonal:
         raise ExponentialError("bang needs an orthogonal base basis")
     s = V.semiring
@@ -307,11 +307,11 @@ def bang(V: BasedModule, basis: DualBasis, d: int,
             gammas.append((xi.label, gamma.sup))
     w = Web(tuple(xi.label for xi in all_multisets))
 
-    if isinstance(V.presentation, CoherenceP):
-        from .models import coherence_bang, coherence_module
-        space = coherence_bang(V.presentation.space, w.atoms,
-                               (xi.support for xi in all_multisets))
-        mod = coherence_module(space)
+    A = coherence_of(V)
+    if A is not None and [e for e, _ in basis.pairs] == [vec(V.web, {a: 1})
+                                                         for a in V.web.atoms]:
+        mod = coherence_module(coherence_bang(A, w.atoms,
+                                              (xi.support for xi in all_multisets)))
     else:
         mod = BasedModule(s, w, SymGradedP(tuple(layers)),
                           f"!{V.name or 'V'}@{d}")
@@ -433,12 +433,13 @@ def check_comonoid(B: TruncatedBang,
     once dereliction's rows are e_a at [a] and 0 elsewhere, so it carries
     `validate_basis`'s verdict.  comult∘promote = promote⊠promote holds when
     each split (ξ₁, ξ₂) with |ξ₁| + |ξ₂| ≤ d is in the table or its monomial
-    at ξ₁+ξ₂ vanishes on the carrier: on a coherence carrier iff ξ's support
-    is not a clique; on a polytope or cone iff ξ has a dead atom, with φ_a = 0
-    on every spanning member (each φ_a ≥ 0 is linear, so an average of
-    members makes every live φ_a positive); on a free module never.  Other
-    carriers are checked point by point within `CARRIER_CAP`; beyond it the
-    law is UNKNOWN (strategy "none").
+    at ξ₁+ξ₂ vanishes on the carrier: on a polytope or cone iff ξ has a dead
+    atom, with φ_a = 0 on every spanning member (each φ_a ≥ 0 is linear, so
+    an average of members makes every live φ_a positive).  When each φ_a is
+    x_a or 0, it vanishes iff ξ has an atom with φ_a = 0 or, on a coherence
+    carrier, ξ's support is not a clique (on a free module, never).  Other
+    carriers and bases are checked point by point within `CARRIER_CAP`;
+    beyond it the law is UNKNOWN (strategy "none").
 
     ``mutate_seed`` perturbs one comultiplication entry (negative control).
     """
@@ -514,16 +515,20 @@ def _comult_law(B: TruncatedBang, delta: dict) -> Verdict:
 def _vanishing(B: TruncatedBang):
     """ξ ↦ whether its monomial vanishes on the carrier, or None if undecided."""
     V = B.base
-    if isinstance(V.presentation, CoherenceP):
-        return lambda xi: not V.presentation.space.is_clique(xi.support)
     members = spanning_members(V)
     if members is not None:
         live = {a for g in members for a, _ in g.entries}
         dead = frozenset(atom for atom, (_, phi) in zip(V.web.atoms, B.basis.pairs)
                          if not any(b in live for (b, _), _ in phi.matrix.entries))
         return lambda xi: bool(xi.support & dead)
-    if isinstance(V.presentation, FreeP):
-        return lambda xi: False
+    A = coherence_of(V)
+    columns = [phi.matrix.entries for _, phi in B.basis.pairs]
+    if ((A is not None or isinstance(V.presentation, FreeP))
+            and all(c in ((), (((a, "*"), V.semiring.one),))
+                    for a, c in zip(V.web.atoms, columns))):
+        dead = frozenset(a for a, c in zip(V.web.atoms, columns) if not c)
+        return lambda xi: bool(xi.support & dead) or (
+            A is not None and not A.is_clique(xi.support))
     carrier = V.carrier_vectors(cap=CARRIER_CAP)
     if carrier is None:
         return None

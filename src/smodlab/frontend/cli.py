@@ -27,8 +27,9 @@ from ..models import (BoundExceeded, ModelError, ProbCohSpace, CoherenceSpace,
 from ..exponential import (ExponentialError, bang, check_comonoid,
                            promote as exp_promote)
 from .workspace import WorkspaceError, load_workspace, parse_scalars
-from .interpreter import (InterpretError, interpret_formula,
-                          interpret_morphism, parse_vector, _denote_name)
+from .interpreter import (InterpretError, Undecided, interpret_formula,
+                          interpret_morphism, is_morphism_term, parse_vector,
+                          _denote_name)
 from .formulas import ParseError, parse_formula
 
 USAGE_ERROR = 2
@@ -74,16 +75,14 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_eval(args) -> int:
     ws = load_workspace(args.workspace)
-    try:
-        f = interpret_morphism(ws, args.expr)
-    except InterpretError:
-        # not a morphism term: interpret it as a formula instead
+    if not is_morphism_term(ws, args.expr):
         den = interpret_formula(ws, parse_formula(args.expr))
         _emit(args, {"module": den.module.name or args.expr,
                      "web": list(den.module.web.atoms)},
               [f"module over {den.module.semiring.name} with web: "
                + " ".join(den.module.web.atoms)])
         return 0
+    f = interpret_morphism(ws, args.expr)
     _emit(args, {"matrix": format_matrix(f.matrix),
                  "src": list(f.src.web.atoms), "dst": list(f.dst.web.atoms)},
           [format_matrix(f.matrix)])
@@ -180,7 +179,8 @@ def cmd_report(args) -> int:
     checks = []
     for name, s in SEMIRINGS.items():
         rep = axiom_report(s, samples=30, seed=args.seed)
-        checks.append(Verdict(f"axioms {name}", rep.ok, "sampled",
+        checks.append(Verdict(f"axioms {name}", rep.ok,
+                              "enumerated" if s.is_enumerable else "sampled",
                               sum(c.checked for c in rep.checks)))
     if ws is not None:
         for name, sp in ws.spaces.items():
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except Undecided as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return UNDECIDED
     except (WorkspaceError, InterpretError, ParseError, ModelError,
             FileNotFoundError, ValueError, CarrierError, ExponentialError,
             IntegrityError, NotImplementedError) as exc:

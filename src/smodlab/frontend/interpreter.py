@@ -26,13 +26,13 @@ import re
 from dataclasses import dataclass
 
 from ..scalars import Semiring, parse_scalar
-from ..basedmod import (BasedModule, CoherenceP, PolytopeP, Vector, Web,
+from ..basedmod import (UNKNOWN, BasedModule, PolytopeP, Vector, Web,
                         coproduct_module, free_module, pair_atom,
                         product_module, split_pair, vec, zero_module)
 from ..linmaps import (DualBasis, LinMap, Matrix, functional, gamma_basis,
                        identity, is_morphism, lolli_obj, semiring_module,
                        tensor_obj, unit_basis)
-from ..models import coherence_module, coherence_slice
+from ..models import coherence_module, coherence_of, coherence_slice
 from ..exponential import bang, bang_basis, comult as exp_comult, \
     dereliction, promote as exp_promote
 from .. import ratlp
@@ -42,6 +42,10 @@ from .workspace import Workspace, WorkspaceError
 
 class InterpretError(ValueError):
     pass
+
+
+class Undecided(InterpretError):
+    """A term whose morphism check its search bound cut short."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,8 @@ _COMBINATORS = {"id", "comp", "tensor", "pair", "proj1", "proj2",
 def _check(f: LinMap, what: str) -> LinMap:
     rep = is_morphism(f)
     if rep.ok is not True:
-        raise InterpretError(f"{what} is not proved a morphism: {rep}")
+        error = Undecided if rep.ok is UNKNOWN else InterpretError
+        raise error(f"{what} is not proved a morphism: {rep}")
     return LinMap(f.src, f.dst, f.matrix, verified=True)
 
 
@@ -170,18 +175,23 @@ def _require_composable(f: LinMap, g: LinMap):
             f"type mismatch in comp: {f.dst.web!r} vs {g.src.web!r}")
 
 
-def interpret_morphism(ws: Workspace, text: str) -> LinMap:
+def is_morphism_term(ws: Workspace, text: str) -> bool:
+    """Whether `text` is a combinator call or the name of a matrix."""
     text = text.strip()
     m = _CALL.fullmatch(text)
-    if m and m.group(1) in _COMBINATORS:
-        head, body = m.group(1), m.group(2)
-        args = _split_args(body)
-        return _combinator(ws, head, args)
+    return bool(m and m.group(1) in _COMBINATORS) or text in ws.matrices
+
+
+def interpret_morphism(ws: Workspace, text: str) -> LinMap:
+    text = text.strip()
+    if not is_morphism_term(ws, text):
+        raise InterpretError(f"cannot parse morphism term {text!r}")
     if text in ws.matrices:
         mat, src, dst = ws.matrices[text]
         f = LinMap(ws.module_named(src), ws.module_named(dst), mat)
         return _check(f, f"matrix {text}")
-    raise InterpretError(f"cannot parse morphism term {text!r}")
+    head, body = _CALL.fullmatch(text).groups()
+    return _combinator(ws, head, _split_args(body))
 
 
 def _formula_arg(ws: Workspace, text: str) -> Denotation:
@@ -352,8 +362,8 @@ def _component_module(t: BasedModule, atoms, first: bool, other) -> BasedModule:
     w = Web(tuple(atoms))
     pres = t.presentation
     name = f"{t.name}.{1 if first else 2}"
-    if isinstance(pres, CoherenceP):
-        return coherence_module(coherence_slice(pres.space, atoms, other[0], first, name))
+    if (T := coherence_of(t)) is not None:
+        return coherence_module(coherence_slice(T, atoms, other[0], first, name))
     if isinstance(pres, PolytopeP):
         def pair(a, b):  # the tensor atom of a in this factor, b in the other
             return pair_atom(a, b) if first else pair_atom(b, a)

@@ -9,7 +9,7 @@ Line-oriented plain text; `#` starts a comment.  Declarations:
     module M = free(I, web [a,b])
     module M = coherence(A)          # references a cohspace
     module M = pcoh(P)               # references a pcoh space
-    module M = finiteness(web [a,b])
+    module M = finiteness(web [a,b])  # the free F-module on the web
     matrix f : M -> N = 1 0; 0 1
     formula X = A -o (B * B)
 
@@ -69,8 +69,6 @@ class Workspace:
                 return coherence_module(sp)
             if isinstance(sp, ProbCohSpace):
                 return H_embed(sp)
-            if isinstance(sp, FinitenessSpace):
-                return finiteness_module(sp)
         raise WorkspaceError(f"no module or space named {name!r}")
 
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .scalars import OMEGA, RPOS, UNDEF, Semiring, format_scalar, parse_scalar
-from .basedmod import (UNKNOWN, BasedModule, CoherenceP, FreeP, FinitenessP,
-                       IntegrityError, PolytopeP, Vector, Verdict, Web,
-                       WebMismatch, enumerated_module, free_module, pair_atom,
-                       scalar_action, vec, vec_sum)
+from .basedmod import (UNKNOWN, BasedModule, FreeP, IntegrityError, PolytopeP,
+                       Vector, Verdict, Web, WebMismatch, enumerated_module,
+                       free_module, pair_atom, scalar_action, vec, vec_sum)
 from . import ratlp
 
 
@@ -198,7 +197,7 @@ def spanning_members(m: BasedModule):
     return None
 
 
-def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
+def is_morphism(f: LinMap) -> Verdict:
     """Presentation-directed linearity check.
 
     Between coherence modules (a free I-module is the complete coherence
@@ -206,8 +205,8 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
     the function space; a polytope source checks its generators' images,
     and a free Rpos source (a cone) its rays' images; enumerable carriers
     are checked by bounded brute force (definedness, additivity on defined
-    families including ω-repetitions, and action preservation when the
-    semirings coincide).  Any other source leaves the verdict UNKNOWN,
+    two-term families including ω-repetitions, and action preservation when
+    the semirings coincide).  Any other source leaves the verdict UNKNOWN,
     under the strategy "none".
     """
     src, dst = f.src, f.dst
@@ -262,17 +261,16 @@ def is_morphism(f: LinMap, max_entries: int = 2) -> Verdict:
                                    f"action not preserved at {r}, {x!r}")
     mults = [1, OMEGA]
     pairs = [(x, m) for x in carrier if not x.is_zero() for m in mults]
-    for k in range(2, max_entries + 1):
-        for fam in itertools.combinations_with_replacement(pairs, k):
-            checked += 1
-            total = vec_sum(src, fam)
-            if total is UNDEF:
-                continue
-            img_fam = [(images[x], m) for x, m in fam]
-            img_total = vec_sum(dst, img_fam)
-            if img_total is UNDEF or img_total != images[total]:
-                return Verdict(what, False, "enumerated", checked,
-                               f"sum not preserved on {fam}")
+    for fam in itertools.combinations_with_replacement(pairs, 2):
+        checked += 1
+        total = vec_sum(src, fam)
+        if total is UNDEF:
+            continue
+        img_fam = [(images[x], m) for x, m in fam]
+        img_total = vec_sum(dst, img_fam)
+        if img_total is UNDEF or img_total != images[total]:
+            return Verdict(what, False, "enumerated", checked,
+                           f"sum not preserved on {fam}")
     return Verdict(what, True, "enumerated", checked)
 
 
@@ -430,9 +428,9 @@ def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
     s = m.semiring
     w = pair_web(m.web, n.web)
     mp, np_ = m.presentation, n.presentation
-    if isinstance(mp, CoherenceP) and isinstance(np_, CoherenceP):
-        from .models import coherence_tensor, coherence_module
-        mod = coherence_module(coherence_tensor(mp.space, np_.space, name or "⊗"))
+    from .models import coherence_module, coherence_of, coherence_tensor
+    if (A := coherence_of(m)) is not None and (B := coherence_of(n)) is not None:
+        mod = coherence_module(coherence_tensor(A, B, name or "⊗"))
     elif ((gm := mp.polytope(m)) is not None
           and (gn := np_.polytope(n)) is not None):
         gens = []
@@ -443,10 +441,6 @@ def tensor_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
                           name or "⊗")
     elif isinstance(mp, FreeP) and isinstance(np_, FreeP):
         mod = BasedModule(s, w, FreeP(), name or "⊗")
-    elif isinstance(mp, FinitenessP) and isinstance(np_, FinitenessP):
-        from .models import FinitenessSpace, finiteness_module
-        space = FinitenessSpace(name or "⊗", tuple(w.atoms))
-        mod = finiteness_module(space, w)
     else:
         raise NotImplementedError(f"tensor of {mp!r} and {np_!r}")
 
@@ -473,9 +467,9 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
     s = m.semiring
     w = pair_web(m.web, n.web)
     mp, np_ = m.presentation, n.presentation
-    if isinstance(mp, CoherenceP) and isinstance(np_, CoherenceP):
-        from .models import coherence_lolli, coherence_module
-        mod = coherence_module(coherence_lolli(mp.space, np_.space, name or "⊸"))
+    from .models import coherence_lolli, coherence_module, coherence_of
+    if (A := coherence_of(m)) is not None and (B := coherence_of(n)) is not None:
+        mod = coherence_module(coherence_lolli(A, B, name or "⊸"))
     elif ((gm := mp.polytope(m)) is not None
           and (gn := np_.polytope(n)) is not None):
         cons = []

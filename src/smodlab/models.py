@@ -16,8 +16,8 @@ from typing import Iterable, Optional
 from .scalars import F as FSEMI
 from .scalars import I as ISEMI
 from .scalars import INF, NINF, UNIT, Semiring
-from .basedmod import (BasedModule, CoherenceP, FinitenessP, FreeP,
-                       IntegrityError, PolytopeP, Web, WebMismatch, pair_atom)
+from .basedmod import (BasedModule, CoherenceP, FreeP, IntegrityError,
+                       PolytopeP, Web, WebMismatch, free_module, pair_atom)
 from .linmaps import LinMap, Matrix, gamma_basis, is_morphism, sparse_product
 from . import ratlp
 
@@ -74,7 +74,7 @@ class CoherenceSpace:
     def coherent(self, a, b) -> bool:
         if self.coh is not None:
             return (a, b) in self.coh
-        return _RULES[self.rule](*self.parts, self._key[a], self._key[b])
+        return _RULES[self.rule](self.parts, self._key[a], self._key[b])
 
     def strictly_incoherent(self, a, b) -> bool:
         """a ≍ b: equal or incoherent."""
@@ -103,12 +103,15 @@ def lolli_coherent(A: CoherenceSpace, B: CoherenceSpace, p, q) -> bool:
 
 # each connective's coherence of two atoms, from its parts and the atoms' keys
 _RULES = {
-    "complete": lambda x, y: True,
-    "dual": lambda A, x, y: A.strictly_incoherent(x, y),
-    "tensor": lambda A, B, x, y: A.coherent(x[0], y[0]) and B.coherent(x[1], y[1]),
-    "lolli": lolli_coherent,
-    "bang": lambda A, x, y: A.is_clique(x | y),
-    "slice": lambda T, x, y: T.coherent(x, y),
+    "complete": lambda P, x, y: True,
+    "dual": lambda P, x, y: P[0].strictly_incoherent(x, y),
+    "tensor": lambda P, x, y: P[0].coherent(x[0], y[0]) and P[1].coherent(x[1], y[1]),
+    "lolli": lambda P, x, y: lolli_coherent(*P, x, y),
+    "bang": lambda P, x, y: P[0].is_clique(x | y),
+    "slice": lambda P, x, y: P[0].coherent(x, y),
+    # keys (i, a): atoms of two parts are coherent in A & B, incoherent in A ⊕ B
+    "with": lambda P, x, y: x[0] != y[0] or P[x[0]].coherent(x[1], y[1]),
+    "plus": lambda P, x, y: x[0] == y[0] and P[x[0]].coherent(x[1], y[1]),
 }
 
 
@@ -151,6 +154,14 @@ def coherence_bang(A: CoherenceSpace, labels, supports) -> CoherenceSpace:
                           keys=tuple(supports))
 
 
+def coherence_sum(parts, product: bool, name: str) -> CoherenceSpace:
+    """A & B (`product`) or A ⊕ B, on the disjoint web of atoms `i.a`."""
+    keys = tuple((i, a) for i, A in enumerate(parts) for a in A.atoms)
+    return CoherenceSpace(name, tuple(f"{i}.{a}" for i, a in keys),
+                          rule="with" if product else "plus", parts=tuple(parts),
+                          keys=keys)
+
+
 def coherence_slice(T: CoherenceSpace, atoms, fixed, first: bool,
                     name: str) -> CoherenceSpace:
     """A factor of a space on a pair web, the other factor fixed at `fixed`."""
@@ -169,8 +180,8 @@ def coherence_of(m: BasedModule) -> Optional[CoherenceSpace]:
     return None
 
 
-def coherence_module(space: CoherenceSpace, web: Optional[Web] = None) -> BasedModule:
-    return BasedModule(ISEMI, web or space.web, CoherenceP(space), space.name)
+def coherence_module(space: CoherenceSpace) -> BasedModule:
+    return BasedModule(ISEMI, space.web, CoherenceP(space), space.name)
 
 
 def F_embed(A: CoherenceSpace):
@@ -208,9 +219,6 @@ class FinitenessSpace:
     def web(self) -> Web:
         return Web(self.atoms)
 
-    def admits_support(self, support) -> bool:
-        return all(a in self.atoms for a in support)
-
 
 def fin_dual(supports, web: Web):
     """The finiteness dual; at finite webs every intersection is finite,
@@ -223,8 +231,9 @@ def fin_dual(supports, web: Web):
     return out
 
 
-def finiteness_module(A: FinitenessSpace, web: Optional[Web] = None) -> BasedModule:
-    return BasedModule(FSEMI, web or A.web, FinitenessP(A), A.name)
+def finiteness_module(A: FinitenessSpace) -> BasedModule:
+    """At a finite web every support is finitary: the free F-module."""
+    return free_module(FSEMI, A.web, A.name)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from smodlab.basedmod import (BasedModule, EnumeratedP, MembershipError,
                               coproduct_module, enumerated_module,
                               free_module, preorder_leq_vec, product_module,
                               scalar_action, vec, vec_sum, web, zero_module)
+from smodlab.models import H_embed, pcoh_space
 from smodlab.scalars import (B, F, I, N, OMEGA, UNDEF, UNIT, CarrierError)
 
 
@@ -65,6 +66,15 @@ def test_product_and_coproduct():
     c = coproduct_module([m, n])
     assert c.admits(vec(c.web, {"0.a": 1}))
     assert not c.admits(vec(c.web, {"0.a": 1, "1.b": 1}))
+
+
+def test_a_product_of_polytopes_is_generated_by_concatenated_pairs():
+    P = H_embed(pcoh_space("P", ("a", "b"), [(1, 0), (0, 1)]))
+    Q = H_embed(pcoh_space("Q", ("c",), [(Fraction(1, 2),)]))
+    p, c = product_module([P, Q]), coproduct_module([P, Q])
+    assert set(p.presentation.polytope(p)) == {(1, 0, Fraction(1, 2)),
+                                               (0, 1, Fraction(1, 2))}
+    assert c.presentation.polytope(c) is None
 
 
 def test_preorder():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from smodlab import exponential, ratlp
-from smodlab.basedmod import UNKNOWN, Web, equalizer_submodule, vec, web
+from smodlab.basedmod import (UNKNOWN, Web, enumerated_module,
+                              equalizer_submodule, vec, web)
 from smodlab.exponential import (ExponentialError, MultisetIndex, bang,
                                  bang_basis, check_comonoid, comult, counit,
                                  dereliction, ideal_gamma, multisets_of_degree,
@@ -13,10 +14,9 @@ from smodlab.exponential import (ExponentialError, MultisetIndex, bang,
 from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
                              free_module, functional, gamma_basis, identity,
                              is_morphism, tensor_obj, validate_basis)
-from smodlab.models import (F_embed, FinitenessSpace, H_embed, coherence_module,
-                            coherence_space, finiteness_module,
+from smodlab.models import (F_embed, H_embed, coherence_module, coherence_space,
                             pcoh_gamma_and_basis, pcoh_space)
-from smodlab.scalars import I, N, UNIT
+from smodlab.scalars import B, F, I, N, UNIT
 
 
 def interval():
@@ -308,18 +308,44 @@ def coherence_spaces(max_atoms):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_comult_law_matches_pointwise_on_coherence_spaces(degree):
+    # a zero φ_a kills every monomial at a, though its support is a clique
     for A in coherence_spaces(3):
         m, basis = F_embed(A)
-        assert_symbolic_matches_pointwise(m, basis, degree, m.carrier_vectors())
+        for basis in (basis, with_dead_functional(m, basis)):
+            assert_symbolic_matches_pointwise(m, basis, degree, m.carrier_vectors())
+
+
+@pytest.mark.parametrize("s", [B, F], ids=["B", "F"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_comult_law_matches_pointwise_on_free_modules(s, degree):
+    # the free rule: no monomial vanishes but at an atom whose φ_a is zero
+    for n in (1, 2, 3):
+        m = free_module(s, Web(tuple("abc"[:n])))
+        for basis in (gamma_basis(m), with_dead_functional(m, gamma_basis(m))):
+            assert_symbolic_matches_pointwise(m, basis, degree, m.carrier_vectors())
+
+
+def with_summed_functional(m, basis):
+    """`basis` with its last functional reading every atom, so no rule
+    decides vanishing and the carrier is enumerated."""
+    e, _ = basis.pairs[-1]
+    return DualBasis(basis.pairs[:-1] + ((e, functional(m, dict.fromkeys(m.web.atoms, 1))),))
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_comult_law_matches_pointwise_on_enumerated_carriers(degree):
-    # a finiteness carrier is neither convex nor coherent: vanishing is
-    # decided point by point on the enumerated carrier
+    # vanishing is decided point by point on the enumerated carrier: of an
+    # enumerated module (whose tensor square is not built, so at degree 1
+    # only), and of a free F-module whose last functional reads every atom
     for n in (1, 2, 3):
-        m = finiteness_module(FinitenessSpace("X", tuple("abc"[:n])))
-        for basis in (gamma_basis(m), with_dead_functional(m, gamma_basis(m))):
+        w = Web(tuple("abc"[:n]))
+        m = free_module(F, w)
+        cases = [(m, with_summed_functional(m, gamma_basis(m)))]
+        if degree == 1:
+            e = enumerated_module(N, w, [vec(w, {}), vec(w, {"a": 1}), vec(w, {"a": 2})]
+                                  + [vec(w, {a: 1}) for a in w.atoms])
+            cases += [(e, gamma_basis(e)), (e, with_dead_functional(e, gamma_basis(e)))]
+        for m, basis in cases:
             assert_symbolic_matches_pointwise(m, basis, degree, m.carrier_vectors())
 
 

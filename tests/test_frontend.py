@@ -172,6 +172,10 @@ def test_combinators_all_are_morphisms(ws):
         "inj1(A, B)", "inj2(A, B)", "curry(tensor(id(A), id(B)))",
         "apply(A, B)", "promote(P, 2, {p:1/2, q:1/2})",
         "derelict(P, 2)", "comult(P, 2)",
+        # a free I-module is the complete coherence space in every
+        # connective, and a (co)product is the module it equals
+        "id(N * A)", "apply(N, N)", "id((A & B) -o B)", "inj1(N, A)",
+        "proj1(P, P)",
     ]
     for term in terms:
         f = interpret_morphism(ws, term)
@@ -247,9 +251,13 @@ def test_cli_builds_its_parser_once(ws_file, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {"matrix": "0 1; 1 0"}
 
 
-def test_cli_usage_errors(ws_file):
+def test_cli_usage_errors(ws_file, capsys):
     assert main(["eval", "missing.llw", "id(A)"]) == 2
     assert main(["eval", ws_file, "comp(swap)"]) == 2
+    capsys.readouterr()
+    # a morphism term's own error, not its misreading as a formula
+    assert main(["eval", ws_file, "comp(swap, id(A))"]) == 2
+    assert "type mismatch in comp" in capsys.readouterr().err
 
 
 def test_cli_check_comonoid(ws_file):
@@ -272,6 +280,8 @@ def test_cli_check_morphism_cut_short_is_undecided(tmp_path, capsys):
     assert main(["--format", "json", "check-morphism", str(p), "ones"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] == "unknown" and payload["strategy"] == "none"
+    assert main(["eval", str(p), "ones"]) == 3
+    assert "[UNKNOWN]" in capsys.readouterr().err
 
 
 def test_cli_report_counts_a_skipped_triple_dual_as_undecided(tmp_path, capsys):
@@ -342,6 +352,14 @@ def test_cli_promote_parses_vectors_in_the_ambient_carrier(pcoh_file, capsys):
     assert capsys.readouterr().out.strip() == "{[]:1, [a]:1}"
     assert main(["promote", pcoh_file, "P", "{a:3}", "--degree", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_report_labels_exhaustive_axiom_checks_enumerated(capsys):
+    assert main(["--format", "json", "report"]) == 0
+    strategies = {c["what"]: c["strategy"]
+                  for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert strategies["axioms I"] == strategies["axioms F"] == "enumerated"
+    assert strategies["axioms unit"] == "sampled"
 
 
 def test_load_workspace_from_disk(ws_file):

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from smodlab.basedmod import (UNKNOWN, FreeP, IntegrityError, WebMismatch,
-                              enumerated_module,
-                              product_module, vec, web)
+from hypothesis import given, settings, strategies as st
+
+from smodlab.basedmod import (UNKNOWN, BasedModule, FreeP, IntegrityError,
+                              ProductP, Web, WebMismatch, coproduct_module,
+                              enumerated_module, product_module, vec, web)
 from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
                              dual_and_eta, format_matrix, functional,
                              gamma_basis, identity, is_morphism, linmap,
@@ -19,7 +21,7 @@ from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
 from smodlab.models import (F_embed, H_embed, coherence_module,
                             coherence_space, pcoh_gamma_and_basis,
                             pcoh_space)
-from smodlab.scalars import I, N, RPOS, UNDEF, UNIT
+from smodlab.scalars import B, F, I, N, RPOS, UNDEF, UNIT
 from smodlab.basedmod import free_module
 
 
@@ -197,10 +199,52 @@ def test_is_morphism_cut_short_by_its_bound_is_unknown():
         verify(f)
 
 
-def test_is_morphism_from_a_product_of_cones_is_unknown():
+def test_is_morphism_from_a_product_of_cones_is_decided():
+    # a product of cones is the cone on the disjoint web, checked on its rays
     a = free_module(RPOS, web("a"))
-    f = linmap(product_module([a, a]), a, {("0.a", "a"): 1})
-    assert is_morphism(f).ok is UNKNOWN
+    rep = is_morphism(linmap(product_module([a, a]), a, {("0.a", "a"): 1}))
+    assert rep.ok is True and rep.strategy == "polytope-generators"
+
+
+def componentwise(whole, parts, at_most_one):
+    """The (co)product `whole` presented part by part, as a ProductP."""
+    prefixed = tuple((f"{i}.", m) for i, m in enumerate(parts))
+    return BasedModule(whole.semiring, whole.web, ProductP(prefixed, at_most_one))
+
+
+@st.composite
+def product_maps(draw):
+    """A 0/1 matrix into or out of a (co)product of coherence spaces (free
+    I-modules among them), or of a product of free B or F modules, with the
+    same matrix on the (co)product presented componentwise."""
+    s = draw(st.sampled_from((I, I, B, F)))  # every 0/1 matrix is a B or F map
+
+    def part(prefix, most):
+        atoms = tuple(f"{prefix}{k}" for k in range(draw(st.integers(1, most))))
+        if s is I and draw(st.booleans()):
+            pairs = [p for p in itertools.combinations(atoms, 2) if draw(st.booleans())]
+            return coherence_module(coherence_space(prefix, atoms, pairs))
+        return free_module(s, Web(atoms))
+
+    parts = [part("p", 3), part("q", 3)]
+    at_most_one = s is I and draw(st.booleans())
+    whole = (coproduct_module if at_most_one else product_module)(parts)
+    slow = componentwise(whole, parts, at_most_one)
+    other = part("x", 2)
+    into = draw(st.booleans())
+    src, dst = (other, whole) if into else (whole, other)
+    cells = [(a, b) for a in src.web.atoms for b in dst.web.atoms]
+    entries = {c: 1 for c in cells if draw(st.booleans())}
+    return (linmap(src, dst, entries),
+            linmap(other, slow, entries) if into else linmap(slow, other, entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_maps())
+def test_is_morphism_on_a_folded_product_matches_the_componentwise_one(maps):
+    folded, slow = maps
+    assert not any(isinstance(m.presentation, ProductP) for m in (folded.src, folded.dst))
+    assert is_morphism(folded).ok is is_morphism(slow).ok
 
 
 def test_is_morphism_keeps_no_presentation_alive():

@@ -98,3 +98,22 @@ def test_only_models_builds_coherence_spaces():
     found = [where for where in _library_nodes(_builds_a_coherence_space)
              if not where.startswith("models.py:")]
     assert not found, found
+
+
+def _asks_the_presentation_for_coherence(node) -> bool:
+    """`isinstance(…, CoherenceP)` or a read of `.presentation.space`."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        kinds = node.args[1:]
+        if kinds and isinstance(kinds[0], ast.Tuple):
+            kinds = kinds[0].elts
+        return any(getattr(k, "id", getattr(k, "attr", None)) == "CoherenceP"
+                   for k in kinds)
+    return (isinstance(node, ast.Attribute) and node.attr == "space"
+            and getattr(node.value, "attr", None) == "presentation")
+
+
+def test_only_basedmod_and_models_read_a_coherence_presentation():
+    # which coherence space a carrier is, is decided by models.coherence_of
+    found = [where for where in _library_nodes(_asks_the_presentation_for_coherence)
+             if not where.startswith(("basedmod.py:", "models.py:"))]
+    assert not found, found

@@ -5,6 +5,7 @@ on random sparse matrices and vectors over every shipped semiring the two
 must give the same value, UNDEF or error."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 from hypothesis import find, given, settings, strategies as st
@@ -13,7 +14,8 @@ from smodlab.basedmod import IntegrityError, Web, free_module, vec
 from smodlab.exponential import bang
 from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
                              functional, gamma_basis)
-from smodlab.models import (GlueObject, H_embed, ModelError, glue_is_morphism,
+from smodlab.models import (GlueObject, H_embed, ModelError, coherence_module,
+                            coherence_space, glue_is_morphism,
                             glue_tight_closure, pcoh_gamma_and_basis,
                             pcoh_space, wrel_compose)
 from smodlab.scalars import B, F, I, INF, N, NINF, RPOS, UNDEF, UNIT, Semiring
@@ -217,6 +219,13 @@ def glue_maps(draw):
     return draw(_matrix(NINF, A.web, B_.web)), A, B_
 
 
+def _skew(m):
+    """A basis of a 2-atom I-module whose e_a = δ_a + δ_b overlaps e_b."""
+    w = m.web
+    return DualBasis(((vec(w, {"a": 1, "b": 1}), functional(m, {"a": 1})),
+                      (vec(w, {"b": 1}), functional(m, {"b": 1}))))
+
+
 @functools.cache
 def _bangs():
     """Graded bangs at degree 2: free modules over B, F, N, Ninf and Rpos, a
@@ -228,9 +237,7 @@ def _bangs():
         m = free_module(s, w)
         out.append(bang(m, gamma_basis(m), 2))
     m = free_module(I, w)
-    skew = DualBasis(((vec(w, {"a": 1, "b": 1}), functional(m, {"a": 1})),
-                      (vec(w, {"b": 1}), functional(m, {"b": 1}))))
-    out.append(bang(m, skew, 2))
+    out.append(bang(m, _skew(m), 2))
     P = pcoh_space("P", ("a", "b"), [(1, 0), (Fraction(1, 2), 1)])
     out.append(bang(H_embed(P), pcoh_gamma_and_basis(P)[1], 2))
     return out
@@ -293,3 +300,17 @@ def test_random_matrices_reach_every_outcome():
     skewed = _bangs()[5].module
     find(st.builds(lambda e: vec(skewed.web, e), _sparse(I, skewed.web.atoms)),
          lambda v: not dense_admits(skewed, v))
+
+
+def test_bang_of_a_coherence_module_under_a_skewed_basis_is_the_graded_carrier():
+    # the multiset exponential presents the bang only for e_a = δ_a; the
+    # complete space on {a, b} has the carrier of free(I, {a, b})
+    graded = _bangs()[5].module
+    m = coherence_module(coherence_space("K", ("a", "b"), [("a", "b")]))
+    module = bang(m, _skew(m), 2).module
+    assert module.web == graded.web
+    vectors = [vec(module.web, {a: 1 for a, bit in zip(module.web.atoms, bits) if bit})
+               for bits in itertools.product((0, 1), repeat=len(module.web))]
+    admitted = [v for v in vectors if module.admits(v)]
+    assert admitted == [v for v in vectors if dense_admits(graded, v)]
+    assert len(admitted) == 18
