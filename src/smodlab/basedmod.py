@@ -555,16 +555,11 @@ def equalizer_submodule(f, g) -> BasedModule:
                              name="eq")
 
 
-def _module_sum_families(vectors, max_entries, with_omega=True):
-    mults = [1, 2] + ([OMEGA] if with_omega else [])
-    pairs = [(v, m) for v in vectors for m in mults]
-    for k in range(1, max_entries + 1):
-        yield from itertools.combinations_with_replacement(pairs, k)
+SUBMODULE_FAMILY_ENTRIES = 3
+SUBMODULE_SAMPLES = 50
 
 
-def classify_submodule(sub: BasedModule, sup: BasedModule,
-                       max_entries: int = 3, samples: int = 50,
-                       seed: int = 0) -> Verdict:
+def classify_submodule(sub: BasedModule, sup: BasedModule) -> Verdict:
     """Bounded check of the submodule / sum-reflecting / downward-closed flags,
     the three sub-verdicts in that order.
 
@@ -576,7 +571,7 @@ def classify_submodule(sub: BasedModule, sup: BasedModule,
     import random
     if sub.web != sup.web:
         raise WebMismatch("classify_submodule requires a shared web")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     sub_carrier = sub.carrier_vectors(cap=2000)
     sup_carrier = sup.carrier_vectors(cap=2000)
     strategy = ("enumerated" if sub_carrier is not None and sup_carrier is not None
@@ -584,7 +579,7 @@ def classify_submodule(sub: BasedModule, sup: BasedModule,
     what = f"{sub.label} is a sum-reflecting, downward-closed submodule of {sup.label}"
 
     if sub_carrier is None:
-        sub_carrier = _sample_vectors(sub, rng, samples)
+        sub_carrier = _sample_vectors(sub, rng, SUBMODULE_SAMPLES)
     outside = next((v for v in sub_carrier if not sup.admits(v)), None)
     if outside is not None:
         why = f"carrier element {outside!r} not contained"
@@ -595,7 +590,9 @@ def classify_submodule(sub: BasedModule, sup: BasedModule,
     not_sub = not_reflecting = None
     families = 0
     base = sub_carrier[:12]
-    for fam in _module_sum_families(base, max_entries):
+    terms = [(v, m) for v in base for m in (1, 2, OMEGA)]
+    for fam in (c for k in range(1, SUBMODULE_FAMILY_ENTRIES + 1)
+                for c in itertools.combinations_with_replacement(terms, k)):
         families += 1
         in_sub = vec_sum(sub, fam)
         in_sup = vec_sum(sup, fam)
@@ -609,7 +606,7 @@ def classify_submodule(sub: BasedModule, sup: BasedModule,
 
     down, below, pairs = True, None, 0
     candidates = sup_carrier if sup_carrier is not None \
-        else _sample_vectors(sup, rng, min(samples, 30))
+        else _sample_vectors(sup, rng, 30)
     for y in base:
         for x in candidates:
             pairs += 1

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .scalars import RPOS, UNDEF
-from .basedmod import (UNKNOWN, BasedModule, FreeP, IntegrityError,
+from .basedmod import (UNKNOWN, BasedModule, IntegrityError,
                        Presentation, Vector, Verdict, Web, pair_atom, vec,
                        vec_sum)
 from .linmaps import (CARRIER_CAP, DualBasis, LinMap, Matrix, apply,
@@ -433,13 +433,13 @@ def check_comonoid(B: TruncatedBang,
     once dereliction's rows are e_a at [a] and 0 elsewhere, so it carries
     `validate_basis`'s verdict.  comult∘promote = promote⊠promote holds when
     each split (ξ₁, ξ₂) with |ξ₁| + |ξ₂| ≤ d is in the table or its monomial
-    at ξ₁+ξ₂ vanishes on the carrier: on a polytope or cone iff ξ has a dead
-    atom, with φ_a = 0 on every spanning member (each φ_a ≥ 0 is linear, so
-    an average of members makes every live φ_a positive).  When each φ_a is
-    x_a or 0, it vanishes iff ξ has an atom with φ_a = 0 or, on a coherence
-    carrier, ξ's support is not a clique (on a free module, never).  Other
-    carriers and bases are checked point by point within `CARRIER_CAP`;
-    beyond it the law is UNKNOWN (strategy "none").
+    at ξ₁+ξ₂ vanishes on the carrier: on a polytope or finitely complete free
+    module iff ξ has a dead atom, φ_a = 0 on every spanning member (each φ_a
+    is linear, and an average or the sum of the members makes every live φ_a
+    nonzero, with no zero divisors).  On a coherence carrier where each φ_a
+    is x_a or 0, it vanishes iff ξ has an atom with φ_a = 0 or its support
+    is not a clique.  Other carriers and bases are checked point by point
+    within `CARRIER_CAP`; beyond it the law is UNKNOWN (strategy "none").
 
     ``mutate_seed`` perturbs one comultiplication entry (negative control).
     """
@@ -523,12 +523,10 @@ def _vanishing(B: TruncatedBang):
         return lambda xi: bool(xi.support & dead)
     A = coherence_of(V)
     columns = [phi.matrix.entries for _, phi in B.basis.pairs]
-    if ((A is not None or isinstance(V.presentation, FreeP))
-            and all(c in ((), (((a, "*"), V.semiring.one),))
-                    for a, c in zip(V.web.atoms, columns))):
+    if A is not None and all(c in ((), (((a, "*"), V.semiring.one),))
+                             for a, c in zip(V.web.atoms, columns)):
         dead = frozenset(a for a, c in zip(V.web.atoms, columns) if not c)
-        return lambda xi: bool(xi.support & dead) or (
-            A is not None and not A.is_clique(xi.support))
+        return lambda xi: bool(xi.support & dead) or not A.is_clique(xi.support)
     carrier = V.carrier_vectors(cap=CARRIER_CAP)
     if carrier is None:
         return None

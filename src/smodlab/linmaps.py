@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .scalars import OMEGA, RPOS, UNDEF, Semiring, format_scalar, parse_scalar
+from .scalars import (OMEGA, RPOS, SEMIRINGS, UNDEF, Semiring, format_scalar,
+                      parse_scalar)
 from .basedmod import (UNKNOWN, BasedModule, FreeP, IntegrityError, PolytopeP,
                        Vector, Verdict, Web, WebMismatch, enumerated_module,
                        free_module, pair_atom, scalar_action, vec, vec_sum)
@@ -185,14 +186,21 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
 CARRIER_CAP = 4096
 
 
+def _free_on_generators(m: BasedModule) -> bool:
+    """m = R^web over a shipped finitely complete semiring: free on the δ_a."""
+    s = m.semiring
+    return (isinstance(m.presentation, FreeP) and s.is_finitely_complete
+            and SEMIRINGS.get(s.name) is s)
+
+
 def spanning_members(m: BasedModule):
     """Members that settle a linear map, or a basis, on all of m: the
-    generators of a polytope (only rational modules have one), or the rays
-    δ_a of a free Rpos module (the cone R>=0^web).  None for any other."""
+    generators of a polytope (only rational modules have one), or the free
+    generators δ_a of `_free_on_generators` modules.  None for any other."""
     gens = m.presentation.polytope(m)
     if gens is not None:
         return [vec(m.web, dict(zip(m.web.atoms, g))) for g in gens]
-    if m.semiring is RPOS and isinstance(m.presentation, FreeP):
+    if _free_on_generators(m):
         return [vec(m.web, {a: 1}) for a in m.web.atoms]
     return None
 
@@ -202,12 +210,12 @@ def is_morphism(f: LinMap) -> Verdict:
 
     Between coherence modules (a free I-module is the complete coherence
     space), each pair of matrix entries is tested by the coherence rule of
-    the function space; a polytope source checks its generators' images,
-    and a free Rpos source (a cone) its rays' images; enumerable carriers
-    are checked by bounded brute force (definedness, additivity on defined
-    two-term families including ω-repetitions, and action preservation when
-    the semirings coincide).  Any other source leaves the verdict UNKNOWN,
-    under the strategy "none".
+    the function space; a `spanning_members` source checks their images
+    when both sides are rational or the target is free over the same
+    finitely complete semiring (rows δ_a·M); enumerable carriers are checked
+    by bounded brute force (definedness, additivity on defined two-term
+    families with ω-repetitions, action preservation when the semirings
+    coincide).  Any other source leaves the verdict UNKNOWN (strategy "none").
     """
     src, dst = f.src, f.dst
     what = f"morphism {src.label} -> {dst.label}"
@@ -224,7 +232,9 @@ def is_morphism(f: LinMap) -> Verdict:
                                "function-space coherence")
         return Verdict(what, True, "coherence", len(pairs) * (len(pairs) + 1) // 2)
 
-    if dst.semiring.ambient is RPOS and (gens := spanning_members(src)) is not None:
+    settled = src.semiring.ambient is dst.semiring.ambient is RPOS or (
+        _free_on_generators(dst) and dst.semiring is src.semiring)
+    if settled and (gens := spanning_members(src)) is not None:
         # Rational modules use ambient arithmetic, so additivity and the
         # scalar action hold entry-wise; membership is convex, so checking
         # the generators suffices.  An Rpos source holds every t·g, which
@@ -461,7 +471,8 @@ def matrix_as_vector(w: Web, mat: Matrix) -> Vector:
 
 def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
               name: str = ""):
-    """Linear-function-space object: morphisms m -> n encoded as matrices."""
+    """Linear-function-space object: morphisms m -> n encoded as matrices
+    (the free module on the pair web between `_free_on_generators` ones)."""
     if m.semiring is not n.semiring:
         raise ValueError("lolli requires a shared semiring")
     s = m.semiring
@@ -482,9 +493,7 @@ def lolli_obj(m: BasedModule, n: BasedModule, bm: DualBasis, bn: DualBasis,
                 cons.append(tuple(s.ambient_mul(ga, ub) for ga in g for ub in u))
         mod = BasedModule(s, w, PolytopeP(constraints=tuple(sorted(set(cons)))),
                           name or "⊸")
-    elif s is RPOS and isinstance(mp, FreeP) and isinstance(np_, FreeP):
-        # maps between cones R>=0^m -> R>=0^n are the nonnegative matrices;
-        # over other semirings hom of free modules is not free
+    elif _free_on_generators(m) and _free_on_generators(n):
         mod = BasedModule(s, w, FreeP(), name or "⊸")
     else:
         carrier = m.carrier_vectors(cap=512)

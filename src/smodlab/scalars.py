@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, total_ordering
 from typing import Callable, Optional
 
 
@@ -49,6 +49,7 @@ UNDEF = _Marker("UNDEF")
 OMEGA = _Marker("OMEGA")
 
 
+@total_ordering
 class Inf:
     """The adjoined infinity element.  Larger than every finite scalar."""
 
@@ -67,6 +68,9 @@ class Inf:
 
     def __hash__(self):
         return hash("smodlab-inf")
+
+    def __lt__(self, other):
+        return False
 
     def __deepcopy__(self, memo):
         return self

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from smodlab import exponential, ratlp
-from smodlab.basedmod import (UNKNOWN, Web, enumerated_module,
+from smodlab.basedmod import (UNKNOWN, Web, coproduct_module, enumerated_module,
                               equalizer_submodule, vec, web)
 from smodlab.exponential import (ExponentialError, MultisetIndex, bang,
                                  bang_basis, check_comonoid, comult, counit,
@@ -182,14 +182,25 @@ def test_comonoid_mutant_caught():
 
 
 def test_comonoid_laws_over_free_N_are_undecided():
-    # nothing decides the basis of free N, and no sample proves the laws
+    # nothing decides the basis of a coproduct of free N modules, and no
+    # sample proves the laws
     m = free_module(N, Web(("a",)))
-    rep = check_comonoid(bang(m, gamma_basis(m, {"a": 1}), 2))
+    X = coproduct_module([m, m])
+    rep = check_comonoid(bang(X, gamma_basis(X), 1))
     assert rep.ok is UNKNOWN
     laws = {c.what: c for c in rep.checks}
     assert laws["dereliction∘promote = id"].ok is UNKNOWN
     assert laws["comult∘promote = promote⊠promote"].ok is True
     assert all(c.strategy != "sampled" for c in rep.checks)
+
+
+def test_comonoid_laws_over_free_N_are_proved():
+    # free N is free on its generators: its basis is proved there
+    m = free_module(N, Web(("a",)))
+    rep = check_comonoid(bang(m, gamma_basis(m, {"a": 1}), 2))
+    assert rep.ok is True
+    laws = {c.what: c for c in rep.checks}
+    assert laws["dereliction∘promote = id"].checks[0].strategy == "polytope-generators"
 
 
 def test_check_comonoid_runs_no_lp(monkeypatch):

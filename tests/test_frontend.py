@@ -165,7 +165,9 @@ def test_interpret_unbound_atom(ws):
         interpret_formula(ws, parse_formula("Nope"))
 
 
-def test_combinators_all_are_morphisms(ws):
+def test_combinators_all_are_morphisms():
+    ws = loads_workspace(WS_TEXT + "module MB = free(B, web [b1, b2])\n"
+                         "module MN = free(N, web [n1, n2])\n")
     terms = [
         "id(A)", "swap", "comp(swap, swap)", "tensor(swap, id(N))",
         "pair(id(N), swap)", "proj1(A, B)", "proj2(A, B)",
@@ -176,6 +178,9 @@ def test_combinators_all_are_morphisms(ws):
         # connective, and a (co)product is the module it equals
         "id(N * A)", "apply(N, N)", "id((A & B) -o B)", "inj1(N, A)",
         "proj1(P, P)",
+        # the function space of free modules over a finitely complete
+        # semiring is the free module on the pair web
+        "id((MB -o MB) -o MB)", "id(MN -o MN)",
     ]
     for term in terms:
         f = interpret_morphism(ws, term)
@@ -265,23 +270,54 @@ def test_cli_check_comonoid(ws_file):
 
 
 def test_cli_check_comonoid_with_nothing_to_prove_the_laws_is_undecided(tmp_path, capsys):
-    # the basis of free N is not decidable, and no sample stands in for it
+    # the basis of a coproduct of free N modules is not decidable, and no
+    # sample stands in for it
     p = tmp_path / "n.llw"
-    p.write_text("module M = free(N, web [a])\n")
-    assert main(["--format", "json", "check-comonoid", str(p), "M"]) == 3
+    p.write_text("module M = free(N, web [a])\nformula X = M + M\n")
+    assert main(["--format", "json", "check-comonoid", str(p), "X", "--degree", "1"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] == "unknown"
     assert all(c["strategy"] != "sampled" for c in payload["checks"])
 
 
-def test_cli_check_morphism_cut_short_is_undecided(tmp_path, capsys):
+def test_cli_check_comonoid_over_free_N_is_proved(tmp_path, capsys):
     p = tmp_path / "n.llw"
-    p.write_text("module M = free(N, web [a, b])\nmatrix ones : M -> M = 1 1; 1 1\n")
-    assert main(["--format", "json", "check-morphism", str(p), "ones"]) == 3
+    p.write_text("module M = free(N, web [a])\n")
+    assert main(["--format", "json", "check-comonoid", str(p), "M"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+N_TO_UNIT = """
+module M = free(N, web [a, b])
+module U = free(unit, web [a, b])
+matrix mix : M -> U = 1 0; 0 1
+matrix ones : M -> M = 1 1; 1 1
+"""
+
+
+def test_cli_check_morphism_cut_short_is_undecided(tmp_path, capsys):
+    # N^2 into [0,1]^2 is decided by neither the free generators (2·δ_a
+    # leaves the target) nor an enumeration of N^2
+    p = tmp_path / "n.llw"
+    p.write_text(N_TO_UNIT)
+    assert main(["--format", "json", "check-morphism", str(p), "mix"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] == "unknown" and payload["strategy"] == "none"
-    assert main(["eval", str(p), "ones"]) == 3
+    assert main(["eval", str(p), "mix"]) == 3
     assert "[UNKNOWN]" in capsys.readouterr().err
+    assert main(["eval", str(p), "inj1(M, M)"]) == 3
+    assert "[UNKNOWN]" in capsys.readouterr().err
+
+
+def test_cli_check_morphism_over_free_N_is_proved(tmp_path, capsys):
+    # every N-matrix is a morphism N^A -> N^B, proved on the free generators
+    p = tmp_path / "n.llw"
+    p.write_text(N_TO_UNIT)
+    assert main(["--format", "json", "check-morphism", str(p), "ones"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True and payload["strategy"] == "polytope-generators"
+    assert main(["eval", str(p), "ones"]) == 0
+    assert capsys.readouterr().out.strip() == "1 1; 1 1"
 
 
 def test_cli_report_counts_a_skipped_triple_dual_as_undecided(tmp_path, capsys):

@@ -21,7 +21,8 @@ from smodlab.linmaps import (DualBasis, LinMap, Matrix, apply, compose,
 from smodlab.models import (F_embed, H_embed, coherence_module,
                             coherence_space, pcoh_gamma_and_basis,
                             pcoh_space)
-from smodlab.scalars import B, F, I, N, RPOS, UNDEF, UNIT
+from smodlab.scalars import (B, F, I, INF, N, NINF, RPOS, UNDEF, UNIT,
+                             broken_F, naive_complete)
 from smodlab.basedmod import free_module
 
 
@@ -190,13 +191,103 @@ def test_is_morphism_free_rpos_source_is_a_cone(dst_semiring, entry, ok):
 
 
 def test_is_morphism_cut_short_by_its_bound_is_unknown():
-    # all-ones on free(N, [a, b]) is linear, but N^2 cannot be enumerated
-    m = free_module(N, web("a", "b"))
-    f = linmap(m, m, {(a, b): 1 for a in "ab" for b in "ab"})
+    # N^2 into [0,1]^2: neither side settles it on generators, and N^2
+    # cannot be enumerated
+    f = linmap(free_module(N, web("a", "b")), free_module(UNIT, web("a", "b")),
+               {("a", "a"): 1, ("b", "b"): 1})
     rep = is_morphism(f)
     assert rep.ok is UNKNOWN and rep.strategy == "none"
     with pytest.raises(IntegrityError, match="bound"):
         verify(f)
+
+
+@pytest.mark.parametrize("s", [B, F, N, NINF, RPOS])
+def test_is_morphism_into_a_free_module_over_the_same_semiring_is_proved(s):
+    # R^A is free on the δ_a: every R-matrix is a morphism R^A -> R^B
+    src, dst = free_module(s, web("a", "b")), free_module(s, web("x"))
+    top = INF if s is NINF else 2 if s in (N, RPOS) else 1
+    rep = is_morphism(linmap(src, dst, {("a", "x"): top, ("b", "x"): 1}))
+    assert rep.ok is True and rep.strategy == "polytope-generators"
+    assert rep.checked == 2
+
+
+@pytest.mark.parametrize("s,t", [(N, UNIT), (B, UNIT), (B, N)])
+def test_is_morphism_from_a_free_module_into_another_semiring_is_not_proved(s, t):
+    # 2·δ_a leaves [0,1], and δ_a + δ_a = δ_a over B is 2·δ_a over N: the
+    # image of δ_a alone must not prove the map
+    f = linmap(free_module(s, web("a")), free_module(t, web("a")), {("a", "a"): 1})
+    assert is_morphism(f).ok is not True
+    if s is N:
+        assert apply(f, vec(f.src.web, {"a": 2})) is UNDEF
+
+
+@pytest.mark.parametrize("s", [broken_F(), naive_complete(N)])
+def test_is_morphism_proves_no_free_module_over_an_unproved_semiring(s):
+    # finitely complete by its flag, but its Σ-axioms are not proved
+    m = free_module(s, web("a"))
+    assert is_morphism(linmap(m, m, {("a", "a"): 1})).strategy != "polytope-generators"
+
+
+def _enumerated_copy(m, values=None):
+    """m's carrier, or its sub-carrier with coordinates in `values`, as an
+    explicit carrier over the same semiring."""
+    if values is None:
+        vectors = m.carrier_vectors()
+    else:
+        vectors = [vec(m.web, dict(zip(m.web.atoms, combo)))
+                   for combo in itertools.product(values, repeat=len(m.web))]
+    return enumerated_module(m.semiring, m.web, vectors)
+
+
+@st.composite
+def free_finite_maps(draw):
+    """A 0/1 matrix between free B or F modules of 1-2 atoms."""
+    s = draw(st.sampled_from((B, F)))
+    src = free_module(s, Web(tuple(f"a{k}" for k in range(draw(st.integers(1, 2))))))
+    dst = free_module(s, Web(tuple(f"b{k}" for k in range(draw(st.integers(1, 2))))))
+    entries = {(a, b): 1 for a in src.web.atoms for b in dst.web.atoms
+               if draw(st.booleans())}
+    return src, dst, entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_finite_maps())
+def test_generator_verdict_matches_the_enumerated_one_over_B_and_F(case):
+    src, dst, entries = case
+    fast = is_morphism(linmap(src, dst, entries))
+    slow = is_morphism(linmap(_enumerated_copy(src), _enumerated_copy(dst), entries))
+    assert fast.strategy == "polytope-generators" and slow.strategy == "enumerated"
+    assert fast.ok is slow.ok
+
+
+@pytest.mark.parametrize("s", [B, F])
+def test_lolli_of_free_modules_is_the_enumerated_function_space(s):
+    # the brute-force function space of the enumerated copies has the same
+    # carrier as the free module on the pair web
+    m, n = free_module(s, web("a", "b")), free_module(s, web("x", "y"))
+    fast, fast_b = lolli_obj(m, n, gamma_basis(m), gamma_basis(n))
+    slow, _ = lolli_obj(_enumerated_copy(m), _enumerated_copy(n),
+                        gamma_basis(m), gamma_basis(n))
+    assert isinstance(fast.presentation, FreeP)
+    assert not isinstance(slow.presentation, FreeP)
+    assert set(fast.carrier_vectors()) == set(slow.carrier_vectors())
+    assert len(slow.carrier_vectors()) == 2 ** 4
+    assert validate_basis(fast, fast_b).ok is True
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((N, NINF)), st.data())
+def test_generator_verdict_over_N_matches_a_bounded_enumeration(s, data):
+    # the enumerated check from the sub-carrier {0,1,2}^A (with inf over
+    # Ninf) into the free target agrees with the proof on the δ_a
+    values = (0, 1, 2, INF) if s is NINF else (0, 1, 2)
+    src, dst = free_module(s, web("a", "b")), free_module(s, web("x", "y"))
+    entries = {(a, b): data.draw(st.sampled_from(values + (3,)))
+               for a in src.web.atoms for b in dst.web.atoms}
+    fast = is_morphism(linmap(src, dst, entries))
+    slow = is_morphism(linmap(_enumerated_copy(src, values), dst, entries))
+    assert fast.strategy == "polytope-generators" and slow.strategy == "enumerated"
+    assert fast.ok is slow.ok is True
 
 
 def test_is_morphism_from_a_product_of_cones_is_decided():
@@ -266,6 +357,13 @@ def test_validate_basis_coherence_and_pcoh():
     assert validate_basis(m, basis).ok is True
     m2, b2 = simplex_mod()
     assert validate_basis(m2, b2).ok is True
+
+
+@pytest.mark.parametrize("s", [N, NINF])
+def test_validate_basis_of_free_N_is_proved_on_its_generators(s):
+    m = free_module(s, web("a", "b"))
+    rep = validate_basis(m, gamma_basis(m))
+    assert rep.ok is True and rep.strategy == "polytope-generators"
 
 
 def test_validate_basis_rejects_fake():

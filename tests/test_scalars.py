@@ -52,6 +52,12 @@ def test_NINF_absorbs():
     assert NINF.mul(INF, 2) is INF
 
 
+def test_inf_sorts_above_every_natural():
+    # an explicit Ninf carrier lists its vectors in order
+    assert sorted([INF, 2, 0, INF]) == [0, 2, INF, INF]
+    assert 3 < INF and not INF < 3 and not INF < INF
+
+
 def test_UNIT_threshold():
     h = Fraction(1, 2)
     assert UNIT.sum(h, h) == 1

@@ -117,3 +117,20 @@ def test_only_basedmod_and_models_read_a_coherence_presentation():
     found = [where for where in _library_nodes(_asks_the_presentation_for_coherence)
              if not where.startswith(("basedmod.py:", "models.py:"))]
     assert not found, found
+
+
+def _tests_for_a_free_presentation(node) -> bool:
+    """`isinstance(…, FreeP)`."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+        return False
+    kinds = node.args[1:]
+    if kinds and isinstance(kinds[0], ast.Tuple):
+        kinds = kinds[0].elts
+    return any(getattr(k, "id", getattr(k, "attr", None)) == "FreeP" for k in kinds)
+
+
+def test_only_basedmod_models_and_linmaps_test_for_a_free_presentation():
+    # whether a free module is free on its generators is decided in linmaps
+    found = [where for where in _library_nodes(_tests_for_a_free_presentation)
+             if not where.startswith(("basedmod.py:", "models.py:", "linmaps.py:"))]
+    assert not found, found
