@@ -105,7 +105,11 @@ class LinMap:
 
 
 def linmap(src, dst, entries, verified=False) -> LinMap:
-    return LinMap(src, dst, Matrix.make(src.web, dst.web, entries), verified)
+    """Raises CarrierError on an entry outside the target's ambient carrier."""
+    mat = Matrix.make(src.web, dst.web, entries)
+    for _, v in mat.entries:
+        dst.semiring.ambient.check_scalar(v)
+    return LinMap(src, dst, mat, verified)
 
 
 def identity(m: BasedModule) -> LinMap:

@@ -22,7 +22,7 @@ from smodlab.models import (F_embed, H_embed, coherence_module,
                             coherence_space, pcoh_gamma_and_basis,
                             pcoh_space)
 from smodlab.scalars import (B, F, I, INF, N, NINF, RPOS, UNDEF, UNIT,
-                             broken_F, naive_complete)
+                             CarrierError, broken_F, naive_complete)
 from smodlab.basedmod import free_module
 
 
@@ -219,6 +219,14 @@ def test_is_morphism_from_a_free_module_into_another_semiring_is_not_proved(s, t
     assert is_morphism(f).ok is not True
     if s is N:
         assert apply(f, vec(f.src.web, {"a": 2})) is UNDEF
+
+
+@pytest.mark.parametrize("s,entry", [(B, 2), (N, Fraction(1, 2))])
+def test_linmap_refuses_an_entry_outside_the_target_carrier(s, entry):
+    # over B an entry 2 would act as 0 in the product; over N 1/2 has no sum
+    m = free_module(s, web("a"))
+    with pytest.raises(CarrierError, match="carrier"):
+        linmap(m, m, {("a", "a"): entry})
 
 
 @pytest.mark.parametrize("s", [broken_F(), naive_complete(N)])
