@@ -83,9 +83,10 @@ def cmd_eval(args) -> int:
                + " ".join(den.module.web.atoms)])
         return 0
     f = interpret_morphism(ws, args.expr)
-    _emit(args, {"matrix": format_matrix(f.matrix),
+    text = format_matrix(f.matrix)
+    _emit(args, {"matrix": text,
                  "src": list(f.src.web.atoms), "dst": list(f.dst.web.atoms)},
-          [format_matrix(f.matrix)])
+          [text])
     return 0
 
 
@@ -94,8 +95,8 @@ def cmd_show_matrix(args) -> int:
     if args.name not in ws.matrices:
         print(f"no matrix named {args.name!r}", file=sys.stderr)
         return USAGE_ERROR
-    mat, _, _ = ws.matrices[args.name]
-    _emit(args, {"matrix": format_matrix(mat)}, [format_matrix(mat)])
+    text = format_matrix(ws.matrices[args.name][0])
+    _emit(args, {"matrix": text}, [text])
     return 0
 
 

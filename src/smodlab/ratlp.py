@@ -4,7 +4,11 @@ No floating point: the simplex works over `fractions.Fraction`, and the
 vertex layer in integers.  The entry points are
 
 * `max_scale(gens, w)` -- the largest t with t·w in the downward convex hull
-  of `gens` (hull scaled by a total weight <= 1), via a dense exact simplex;
+  of `gens` (hull scaled by a total weight <= 1).  For non-negative input
+  it is solved on the support of w alone, with dominated generators
+  dropped: on at most 2 coordinates from the polar's vertices, wider by a
+  dense exact simplex with one row per support coordinate; signed input
+  goes to the simplex on the whole web;
 * `polar_vertices(gens, dim)` -- vertex enumeration of
   {u >= 0 | <g, u> <= 1 for all g in gens} by basis inspection: each basis
   fixes some coordinates to 0, and the square system of generator rows on
@@ -15,7 +19,7 @@ vertex layer in integers.  The entry points are
   non-negative generators is anti-blocking, so a vertex is dropped when
   some coordinate is free in every row tight at it; no LP is solved;
 * `prune_dominated(gens)` -- the same pruning for any generator list, one
-  bipolar LP per generator.
+  `max_scale` per generator.
 
 All are deliberately simple: vertices are enumerated only within
 `VERTEX_BOUND` atoms, where membership pairs with the polar's vertices.
@@ -71,30 +75,58 @@ def _simplex_max(c, A, b):
         basis[pivot_row] = pivot_col
 
 
+def _undominated(gens: Sequence[tuple]) -> list:
+    """The distinct vectors of `gens` that no other one bounds coordinatewise.
+
+    Sorted in decreasing lexicographic order, a vector comes after every
+    vector that dominates it, so comparing with those already kept suffices.
+    Dropping them leaves the downward convex hull unchanged.
+    """
+    kept = []
+    for g in sorted(set(gens), reverse=True):
+        if not any(all(a >= b for a, b in zip(h, g)) for h in kept):
+            kept.append(g)
+    return kept
+
+
 def max_scale(gens: Sequence[Vec], w: Vec) -> Optional[Fraction]:
     """sup { t >= 0 | t·w <= Σ λ_i g_i for some λ >= 0 with Σ λ_i <= 1 }.
 
     Returns None when the supremum is infinite (w = 0, or w supported only
     where it costs nothing).  This is exactly membership scaling in the
     bipolar of `gens`: w is a member iff max_scale >= 1.
+
+    When `gens` and w are non-negative, only the support S of w matters:
+    outside S a row reads 0 <= Σ λ_i g_i, which always holds.  So the
+    problem is solved on the shadows g_S, with duplicate and dominated
+    shadows dropped.  A coordinate of S that every shadow leaves at 0 gives
+    t = 0.  For |S| <= 2 the answer is 1 / max <f, w_S> over the vertices f
+    of the shadows' polar, since the down-hull is its own bipolar; wider
+    shadows, and any signed input, go to the simplex.
     """
-    dim = len(w)
     if all(x == 0 for x in w):
         return None
-    k = len(gens)
-    if k == 0:
+    if not gens:
         return Fraction(0)
+    if all(x >= 0 for x in w) and all(x >= 0 for g in gens for x in g):
+        support = [d for d, x in enumerate(w) if x]
+        gens = _undominated(tuple(Fraction(g[d]) for d in support) for g in gens)
+        w = [w[d] for d in support]
+        if any(all(g[i] == 0 for g in gens) for i in range(len(w))):
+            return Fraction(0)
+        if len(w) <= 2:
+            return 1 / max(sum(f * x for f, x in zip(v, w))
+                           for v in polar_vertices(gens, len(w)))
+    k = len(gens)
     # variables: lambda_1..k, t ; maximize t
     # constraints: sum lambda <= 1 ; t*w_d - sum_i lambda_i g_i[d] <= 0
     c = [Fraction(0)] * k + [Fraction(1)]
     A = [[Fraction(1)] * k + [Fraction(0)]]
     b = [Fraction(1)]
-    for d in range(dim):
-        row = [-Fraction(g[d]) for g in gens] + [Fraction(w[d])]
-        A.append(row)
+    for d in range(len(w)):
+        A.append([-Fraction(g[d]) for g in gens] + [Fraction(w[d])])
         b.append(Fraction(0))
-    opt = _simplex_max(c, A, b)
-    return opt
+    return _simplex_max(c, A, b)
 
 
 def in_bipolar(gens: Sequence[Vec], u: Vec) -> bool:

@@ -216,6 +216,28 @@ def test_check_comonoid_runs_no_lp(monkeypatch):
     assert calls == []
 
 
+def test_orbit_ideals_run_no_simplex(monkeypatch):
+    # every orbit of degree <= 2 has a support of at most 2 coordinates,
+    # where max_scale reads R_ξ off the polar's vertices
+    P = pcoh_space("P", ("a", "b", "c"), [(1, 0, 1), (0, 1, 1)])
+    V, basis = H_embed(P), pcoh_gamma_and_basis(P)[1]
+    powers = exponential._tensor_powers(V, basis, 2)
+    calls = []
+
+    def counting(*args, _f=ratlp._simplex_max):
+        calls.append(args)
+        return _f(*args)
+
+    monkeypatch.setattr(ratlp, "_simplex_max", counting)
+    for n, (T, tb) in enumerate(powers):
+        exponential._sym_layer(V, basis, T, tb, n)
+    assert calls == []
+    monkeypatch.undo()
+    gammas = dict(bang(V, basis, 2).gammas)
+    assert gammas.pop("[a,b]") == Fraction(1, 2)
+    assert len(gammas) == 9 and set(gammas.values()) == {1}
+
+
 # ---------------------------------------------------------------------------
 # the symbolic comult∘promote law against pointwise evaluation
 

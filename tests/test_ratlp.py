@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,66 @@ def test_bareiss_solves_integer_systems():
             continue
         y, det = sol
         assert det > 0 and [Fraction(v, det) for v in y] == want
+
+
+# ---------------------------------------------------------------------------
+# max_scale: the shadow on the support of w against the whole-web simplex
+
+
+def reference_max_scale(gens, w):
+    """Maximize t subject to Σ λ_i <= 1 and t·w_d <= Σ λ_i g_i[d] on every
+    coordinate d of the web, by the plain simplex on the unreduced system."""
+    if all(x == 0 for x in w):
+        return None
+    k = len(gens)
+    A = [[1] * k + [0]] + [[-g[d] for g in gens] + [w[d]] for d in range(len(w))]
+    return ratlp._simplex_max([0] * k + [1], A, [1] + [0] * len(w))
+
+
+@st.composite
+def scale_cases(draw):
+    dim = draw(st.integers(1, 6))
+    entry = st.sampled_from(ENTRIES)
+    gens = draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=5))
+    # duplicate and dominated generators
+    for i, half in draw(st.lists(st.tuples(st.integers(0, len(gens) - 1),
+                                           st.booleans()), max_size=3)):
+        gens.append(tuple(x / 2 for x in gens[i]) if half else gens[i])
+    w = list(draw(st.tuples(*[st.sampled_from(ENTRIES + [0, 0])] * dim)))
+    support = [d for d, x in enumerate(w) if x]
+    if support and draw(st.booleans()):
+        # a dead shadow coordinate: every generator is 0 where w is not
+        d = draw(st.sampled_from(support))
+        gens = [g[:d] + (0,) + g[d + 1:] for g in gens]
+    if draw(st.integers(0, 5)) == 0:
+        # signed input keeps the whole-web simplex
+        w = [-x if draw(st.booleans()) else x for x in w]
+    return gens, tuple(w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scale_cases())
+def test_max_scale_matches_the_whole_web_simplex(case):
+    gens, w = case
+    assert ratlp.max_scale(gens, w) == reference_max_scale(gens, w)
+
+
+def test_max_scale_edge_cases():
+    gens = [(1, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2)), (Fraction(1, 2), 0, 0)]
+    assert ratlp.max_scale(gens, (0, 0, 0)) is None
+    assert ratlp.max_scale(gens, (1, 1, 0)) == 0
+    assert ratlp.max_scale(gens, (Fraction(1, 4), 0, Fraction(1, 2))) == 1
+    assert ratlp.max_scale(gens, (2, 5, 1)) == reference_max_scale(gens, (2, 5, 1))
+
+
+def test_max_scale_on_a_narrow_support_of_many_generators():
+    # 32 generators on 4 atoms: the polar of the full shadow would try
+    # C(34, 2) bases per pair of coordinates; the dominance filter keeps
+    # that small, so a combinatorial blow-up shows as a slow test
+    rng = random.Random(7)
+    gens = [tuple(Fraction(rng.randint(0, 8), 4) for _ in range(4)) for _ in range(32)]
+    for w in [(Fraction(1, 2), 0, Fraction(1, 3), 0), (0, 1, 0, 0), (1, 1, 0, 0)]:
+        assert ratlp.max_scale(gens, w) == reference_max_scale(gens, w)
 
 
 # ---------------------------------------------------------------------------
