@@ -1,9 +1,12 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 a checked property fails, 2 usage error, 3 a check
-its search bound cut short (undecided).  A library error (bad literal,
-bound exceeded, unsupported construction) prints `error: …` and exits 2
-rather than escaping as a traceback.
+its search bound cut short (undecided).  An `eval` term whose morphism check
+is refuted exits 1, and one whose check is cut short exits 3; an ill-typed
+term (bad arity, mismatched webs, `curry` of a source that is not a tensor)
+exits 2.  A library error (bad literal, bound exceeded, unsupported
+construction) prints `error: …` and exits 2 rather than escaping as a
+traceback.
 
 `check-morphism`, `check-comonoid` and `report` print one verdict; its JSON
 form has the keys `what`, `ok` (true, false or "unknown"), `strategy`,
@@ -27,7 +30,7 @@ from ..models import (BoundExceeded, ModelError, ProbCohSpace, CoherenceSpace,
 from ..exponential import (ExponentialError, bang, check_comonoid,
                            promote as exp_promote)
 from .workspace import WorkspaceError, load_workspace, parse_scalars
-from .interpreter import (InterpretError, Undecided, interpret_formula,
+from .interpreter import (InterpretError, NotProved, interpret_formula,
                           interpret_morphism, is_morphism_term, parse_vector,
                           _denote_name)
 from .formulas import ParseError, parse_formula
@@ -287,9 +290,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except Undecided as exc:
+    except NotProved as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return UNDECIDED
+        return PROPERTY_FAILURE if exc.verdict.ok is False else UNDECIDED
     except (WorkspaceError, InterpretError, ParseError, ModelError,
             FileNotFoundError, ValueError, CarrierError, ExponentialError,
             IntegrityError, NotImplementedError) as exc:

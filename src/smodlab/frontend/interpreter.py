@@ -18,24 +18,34 @@ denote verified linear maps.  The combinator surface:
 
 Formula arguments are ordinary formula syntax; vector literals are
 ``{a:1, b:1/2}``.
+
+Each term carries the tensor factors of its source: a ⊗ formula, a
+`tensor` term, `apply`'s (F -o G) * F and a named coherence tensor have
+them, and `comp`, `pair`, `inj1/2` and `curry` pass their source's on.
+`curry` reads A and B from them, so its source must be tensor-typed; any
+other source is a type error.  `comp` needs the middle webs to agree; when
+f's target and g's source are different objects on that web, it checks
+the composite as a morphism instead of trusting the operands' proofs.  A
+term whose check is refuted or cut short raises `NotProved`, which carries
+the verdict.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 from ..scalars import Semiring, parse_scalar
-from ..basedmod import (UNKNOWN, BasedModule, PolytopeP, Vector, Web,
-                        coproduct_module, free_module, pair_atom,
-                        product_module, split_pair, vec, zero_module)
-from ..linmaps import (DualBasis, LinMap, Matrix, functional, gamma_basis,
-                       identity, is_morphism, lolli_obj, semiring_module,
-                       tensor_obj, unit_basis)
-from ..models import coherence_module, coherence_of, coherence_slice
+from ..basedmod import (BasedModule, PolytopeP, Vector, Verdict, Web,
+                        coproduct_module, pair_atom, product_module,
+                        split_pair, vec, zero_module)
+from ..linmaps import (DualBasis, LinMap, Matrix, compose, functional,
+                       gamma_basis, identity, is_morphism, lolli_obj,
+                       semiring_module, tensor_obj, unit_basis)
+from ..models import coherence_module, coherence_of
 from ..exponential import bang, bang_basis, comult as exp_comult, \
     dereliction, promote as exp_promote
-from .. import ratlp
 from . import formulas as F
 from .workspace import Workspace, WorkspaceError
 
@@ -44,14 +54,20 @@ class InterpretError(ValueError):
     pass
 
 
-class Undecided(InterpretError):
-    """A term whose morphism check its search bound cut short."""
+class NotProved(InterpretError):
+    """A term whose morphism check is refuted or cut short: `verdict` says
+    which."""
+
+    def __init__(self, message: str, verdict: Verdict):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 @dataclass(frozen=True)
 class Denotation:
     module: BasedModule
     basis: DualBasis
+    factors: Optional[tuple] = None  # (A, B) when the module is A ⊗ B
 
 
 def _denote_name(ws: Workspace, name: str) -> Denotation:
@@ -61,7 +77,7 @@ def _denote_name(ws: Workspace, name: str) -> Denotation:
         mod = ws.module_named(name)
     except WorkspaceError:
         raise InterpretError(f"unbound atom {name!r}") from None
-    return Denotation(mod, _recover_basis(mod))
+    return _denote(mod, _tensor_parts(mod))
 
 
 def _shift_basis(whole: BasedModule, part: Denotation, prefix: str) -> tuple:
@@ -83,9 +99,8 @@ def interpret_formula(ws: Workspace, ast) -> Denotation:
     if isinstance(ast, (F.Zero, F.Top)):
         return Denotation(zero_module(s), DualBasis(()))
     if isinstance(ast, F.Tensor):
-        l, r = interpret_formula(ws, ast.left), interpret_formula(ws, ast.right)
-        mod, basis = tensor_obj(l.module, r.module, l.basis, r.basis)
-        return Denotation(mod, basis)
+        return _tensor_den(interpret_formula(ws, ast.left),
+                           interpret_formula(ws, ast.right))
     if isinstance(ast, F.Lolli):
         l, r = interpret_formula(ws, ast.left), interpret_formula(ws, ast.right)
         mod, basis = lolli_obj(l.module, r.module, l.basis, r.basis)
@@ -164,15 +179,8 @@ _COMBINATORS = {"id", "comp", "tensor", "pair", "proj1", "proj2",
 def _check(f: LinMap, what: str) -> LinMap:
     rep = is_morphism(f)
     if rep.ok is not True:
-        error = Undecided if rep.ok is UNKNOWN else InterpretError
-        raise error(f"{what} is not proved a morphism: {rep}")
+        raise NotProved(f"{what} is not proved a morphism: {rep}", rep)
     return LinMap(f.src, f.dst, f.matrix, verified=True)
-
-
-def _require_composable(f: LinMap, g: LinMap):
-    if f.dst.web != g.src.web:
-        raise InterpretError(
-            f"type mismatch in comp: {f.dst.web!r} vs {g.src.web!r}")
 
 
 def is_morphism_term(ws: Workspace, text: str) -> bool:
@@ -183,13 +191,18 @@ def is_morphism_term(ws: Workspace, text: str) -> bool:
 
 
 def interpret_morphism(ws: Workspace, text: str) -> LinMap:
+    return _term(ws, text)[0]
+
+
+def _term(ws: Workspace, text: str) -> tuple[LinMap, Optional[tuple]]:
+    """The term's map and the tensor factors of its source (or None)."""
     text = text.strip()
     if not is_morphism_term(ws, text):
         raise InterpretError(f"cannot parse morphism term {text!r}")
     if text in ws.matrices:
         mat, src, dst = ws.matrices[text]
         f = LinMap(ws.module_named(src), ws.module_named(dst), mat)
-        return _check(f, f"matrix {text}")
+        return _check(f, f"matrix {text}"), _tensor_parts(f.src)
     head, body = _CALL.fullmatch(text).groups()
     return _combinator(ws, head, _split_args(body))
 
@@ -198,42 +211,48 @@ def _formula_arg(ws: Workspace, text: str) -> Denotation:
     return interpret_formula(ws, F.parse_formula(text))
 
 
-def _combinator(ws: Workspace, head: str, args) -> LinMap:
+def _combinator(ws: Workspace, head: str, args) -> tuple[LinMap, Optional[tuple]]:
     def arity(n):
         if len(args) != n:
             raise InterpretError(f"{head} takes {n} argument(s), got {len(args)}")
 
     if head == "id":
         arity(1)
-        return identity(_formula_arg(ws, args[0]).module)
+        den = _formula_arg(ws, args[0])
+        return identity(den.module), den.factors
 
     if head == "comp":
         arity(2)
-        f = interpret_morphism(ws, args[0])
-        g = interpret_morphism(ws, args[1])
-        _require_composable(f, g)
-        from ..linmaps import compose
-        return compose(f, g)
+        f, factors = _term(ws, args[0])
+        g, _ = _term(ws, args[1])
+        if f.dst.web != g.src.web:
+            raise InterpretError(
+                f"type mismatch in comp: {f.dst.web!r} vs {g.src.web!r}")
+        # two objects on one web may differ, so only a shared middle object
+        # carries the operands' proofs over to the composite
+        h = compose(f, g)
+        return (h if f.dst == g.src else _check(h, "composite")), factors
 
     if head == "tensor":
         arity(2)
-        f = interpret_morphism(ws, args[0])
-        g = interpret_morphism(ws, args[1])
-        den_src = _tensor_den(f.src, g.src)
-        den_dst = _tensor_den(f.dst, g.dst)
+        f, f_factors = _term(ws, args[0])
+        g, g_factors = _term(ws, args[1])
+        src = _tensor_den(_denote(f.src, f_factors), _denote(g.src, g_factors))
+        dst, _ = tensor_obj(f.dst, g.dst, _recover_basis(f.dst),
+                            _recover_basis(g.dst))
         mul = f.src.semiring.ambient_mul
         entries = {}
         for (a, c), v in f.matrix.entries:
             for (b, d), w in g.matrix.entries:
                 entries[(pair_atom(a, b), pair_atom(c, d))] = mul(v, w)
-        raw = LinMap(den_src.module, den_dst.module,
-                     Matrix.make(den_src.module.web, den_dst.module.web, entries))
-        return _check(raw, "tensor map")
+        raw = LinMap(src.module, dst,
+                     Matrix.make(src.module.web, dst.web, entries))
+        return _check(raw, "tensor map"), src.factors
 
     if head == "pair":
         arity(2)
-        f = interpret_morphism(ws, args[0])
-        g = interpret_morphism(ws, args[1])
+        f, factors = _term(ws, args[0])
+        g, _ = _term(ws, args[1])
         if f.src.web != g.src.web:
             raise InterpretError("pair needs a shared source")
         dst = product_module([f.dst, g.dst])
@@ -243,7 +262,7 @@ def _combinator(ws: Workspace, head: str, args) -> LinMap:
         for (a, b), v in g.matrix.entries:
             entries[(a, f"1.{b}")] = v
         raw = LinMap(f.src, dst, Matrix.make(f.src.web, dst.web, entries))
-        return _check(raw, "pairing")
+        return _check(raw, "pairing"), factors
 
     if head in ("proj1", "proj2", "inj1", "inj2"):
         arity(2)
@@ -257,29 +276,40 @@ def _combinator(ws: Workspace, head: str, args) -> LinMap:
             entries = {(f"{k}{a}", a): s.one for a in part.module.web.atoms}
             raw = LinMap(whole, part.module,
                          Matrix.make(whole.web, part.module.web, entries))
-        else:
-            whole = coproduct_module([l.module, r.module])
-            entries = {(a, f"{k}{a}"): s.one for a in part.module.web.atoms}
-            raw = LinMap(part.module, whole,
-                         Matrix.make(part.module.web, whole.web, entries))
-        return _check(raw, head)
+            return _check(raw, head), None
+        whole = coproduct_module([l.module, r.module])
+        entries = {(a, f"{k}{a}"): s.one for a in part.module.web.atoms}
+        raw = LinMap(part.module, whole,
+                     Matrix.make(part.module.web, whole.web, entries))
+        return _check(raw, head), part.factors
 
     if head == "curry":
         arity(1)
-        f = interpret_morphism(ws, args[0])
-        # the source must be a tensor: atoms "(a,b)"
-        split = _unpair_web(f.src.web)
-        if split is None:
+        f, factors = _term(ws, args[0])
+        if factors is None:
             raise InterpretError(
-                f"curry needs a tensor source, got web {f.src.web!r}")
-        a_atoms, b_atoms = split
-        return _curry(f, a_atoms, b_atoms)
+                f"curry needs a tensor source, got {f.src.name or f.src.web!r}")
+        a, b = factors
+        lol, _ = lolli_obj(b.module, f.dst, b.basis, _recover_basis(f.dst))
+        entries = {}
+        for (xy, c), v in f.matrix.entries:
+            x, y = split_pair(xy)
+            entries[(x, pair_atom(y, c))] = v
+        raw = LinMap(a.module, lol, Matrix.make(a.module.web, lol.web, entries))
+        return _check(raw, "curry"), a.factors
 
     if head == "apply":
         arity(2)
         l = _formula_arg(ws, args[0])
         r = _formula_arg(ws, args[1])
-        return _eval_map(l, r)
+        src = _tensor_den(Denotation(*lolli_obj(l.module, r.module, l.basis,
+                                                r.basis)), l)
+        one = l.module.semiring.one
+        entries = {(pair_atom(pair_atom(a, b), a), b): one
+                   for a in l.module.web.atoms for b in r.module.web.atoms}
+        raw = LinMap(src.module, r.module,
+                     Matrix.make(src.module.web, r.module.web, entries))
+        return _check(raw, "evaluation"), src.factors
 
     if head == "promote":
         arity(3)
@@ -293,25 +323,38 @@ def _combinator(ws: Workspace, head: str, args) -> LinMap:
         src = semiring_module(den.module.semiring)
         entries = {("*", a): v for a, v in px.entries}
         raw = LinMap(src, B.module, Matrix.make(src.web, B.module.web, entries))
-        return _check(raw, "promotion point")
+        return _check(raw, "promotion point"), None
 
     if head == "derelict":
         arity(2)
         den = _formula_arg(ws, args[0])
         B = bang(den.module, den.basis, int(args[1]))
-        return _check(dereliction(B), "dereliction")
+        return _check(dereliction(B), "dereliction"), None
 
     if head == "comult":
         arity(2)
         den = _formula_arg(ws, args[0])
         B = bang(den.module, den.basis, int(args[1]))
-        return exp_comult(B)
+        return exp_comult(B), None
 
     raise InterpretError(f"unknown combinator {head!r}")
 
 
-def _tensor_den(m: BasedModule, n: BasedModule) -> Denotation:
-    return Denotation(*tensor_obj(m, n, _recover_basis(m), _recover_basis(n)))
+def _tensor_den(l: Denotation, r: Denotation) -> Denotation:
+    return Denotation(*tensor_obj(l.module, r.module, l.basis, r.basis), (l, r))
+
+
+def _denote(m: BasedModule, factors=None) -> Denotation:
+    return Denotation(m, _recover_basis(m), factors)
+
+
+def _tensor_parts(m: BasedModule) -> Optional[tuple]:
+    """The factors of a carrier that is a coherence space A ⊗ B, or None."""
+    T = coherence_of(m)
+    if T is None or T.rule != "tensor":
+        return None
+    return tuple(_denote(part_module, _tensor_parts(part_module))
+                 for part_module in map(coherence_module, T.parts))
 
 
 def _recover_basis(m: BasedModule) -> DualBasis:
@@ -322,72 +365,3 @@ def _recover_basis(m: BasedModule) -> DualBasis:
         return gamma_basis(m, {a: max(g[i] for g in gens)
                                for i, a in enumerate(m.web.atoms)})
     return gamma_basis(m)
-
-
-def _unpair_web(w: Web):
-    lefts, rights = [], []
-    for atom in w.atoms:
-        m = split_pair(atom)
-        if m is None:
-            return None
-        l, r = m
-        if l not in lefts:
-            lefts.append(l)
-        if r not in rights:
-            rights.append(r)
-    if len(lefts) * len(rights) != len(w.atoms):
-        return None
-    return tuple(lefts), tuple(rights)
-
-
-def _curry(f: LinMap, a_atoms, b_atoms) -> LinMap:
-    """A ⊗ B → C to A → (B ⊸ C), on raw matrices."""
-    # reconstruct component modules of the tensor source by membership slicing
-    a_mod = _component_module(f.src, a_atoms, first=True, other=b_atoms)
-    b_mod = _component_module(f.src, b_atoms, first=False, other=a_atoms)
-    db = _recover_basis(b_mod)
-    dc = _recover_basis(f.dst)
-    lol, _ = lolli_obj(b_mod, f.dst, db, dc)
-    entries = {}
-    for (ab, c), v in f.matrix.entries:
-        a, b = split_pair(ab)
-        entries[(a, pair_atom(b, c))] = v
-    raw = LinMap(a_mod, lol, Matrix.make(a_mod.web, lol.web, entries))
-    return _check(raw, "curry")
-
-
-def _component_module(t: BasedModule, atoms, first: bool, other) -> BasedModule:
-    """Slice a tensor module down to one factor by fixing the other factor
-    to zero; presentations of the shipped tensors restrict coherently."""
-    w = Web(tuple(atoms))
-    pres = t.presentation
-    name = f"{t.name}.{1 if first else 2}"
-    if (T := coherence_of(t)) is not None:
-        return coherence_module(coherence_slice(T, atoms, other[0], first, name))
-    if isinstance(pres, PolytopeP):
-        def pair(a, b):  # the tensor atom of a in this factor, b in the other
-            return pair_atom(a, b) if first else pair_atom(b, a)
-        gens = set()
-        for g in pres.polytope(t):
-            coords = dict(zip(t.web.atoms, g))
-            gens.add(tuple(max(coords[pair(a, b)] for b in other) for a in atoms))
-        return BasedModule(t.semiring, w,
-                           PolytopeP(generators=tuple(
-                               ratlp.prune_dominated(list(gens)))),
-                           name)
-    return free_module(t.semiring, w)
-
-
-def _eval_map(l: Denotation, r: Denotation) -> LinMap:
-    """(L -o R) * L → R."""
-    lol, blol = lolli_obj(l.module, r.module, l.basis, r.basis)
-    src_mod, _ = tensor_obj(lol, l.module, blol, l.basis)
-    s = l.module.semiring
-    entries = {}
-    for a in l.module.web.atoms:
-        for b in r.module.web.atoms:
-            atom = pair_atom(pair_atom(a, b), a)
-            entries[(atom, b)] = s.one
-    raw = LinMap(src_mod, r.module,
-                 Matrix.make(src_mod.web, r.module.web, entries))
-    return _check(raw, "evaluation")

@@ -108,7 +108,6 @@ _RULES = {
     "tensor": lambda P, x, y: P[0].coherent(x[0], y[0]) and P[1].coherent(x[1], y[1]),
     "lolli": lambda P, x, y: lolli_coherent(*P, x, y),
     "bang": lambda P, x, y: P[0].is_clique(x | y),
-    "slice": lambda P, x, y: P[0].coherent(x, y),
     # keys (i, a): atoms of two parts are coherent in A & B, incoherent in A ⊕ B
     "with": lambda P, x, y: x[0] != y[0] or P[x[0]].coherent(x[1], y[1]),
     "plus": lambda P, x, y: x[0] == y[0] and P[x[0]].coherent(x[1], y[1]),
@@ -160,14 +159,6 @@ def coherence_sum(parts, product: bool, name: str) -> CoherenceSpace:
     return CoherenceSpace(name, tuple(f"{i}.{a}" for i, a in keys),
                           rule="with" if product else "plus", parts=tuple(parts),
                           keys=keys)
-
-
-def coherence_slice(T: CoherenceSpace, atoms, fixed, first: bool,
-                    name: str) -> CoherenceSpace:
-    """A factor of a space on a pair web, the other factor fixed at `fixed`."""
-    keys = tuple(pair_atom(x, fixed) if first else pair_atom(fixed, x)
-                 for x in atoms)
-    return CoherenceSpace(name, tuple(atoms), rule="slice", parts=(T,), keys=keys)
 
 
 def coherence_of(m: BasedModule) -> Optional[CoherenceSpace]:

@@ -5,16 +5,19 @@ from pathlib import Path
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smodlab.basedmod import IntegrityError
 from smodlab.frontend.cli import main
 from smodlab.frontend.formulas import (Atom, Bang, Dual, Lolli, One,
                                        ParseError, Plus, Tensor, Top, With,
                                        Zero, parse_formula, print_formula)
-from smodlab.frontend.interpreter import (InterpretError, interpret_formula,
-                                          interpret_morphism)
+from smodlab.frontend.interpreter import (InterpretError, NotProved,
+                                          interpret_formula, interpret_morphism)
 from smodlab.frontend.workspace import (WorkspaceError, load_workspace,
                                         loads_workspace)
-from smodlab.linmaps import compose, is_morphism
+from smodlab.linmaps import LinMap, compose, is_morphism
 
 WS_TEXT = """
 semiring I
@@ -204,6 +207,94 @@ def test_curry_apply_triangle(ws):
 def test_morphism_type_mismatch(ws):
     with pytest.raises(InterpretError):
         interpret_morphism(ws, "comp(swap, id(A))")
+
+
+# objects that share webs but not carriers, so that a term can be well
+# typed by webs alone: A and B on [a, b]; P, R, S and Box on [p1, p2]
+# (S ⊆ Box, not Box ⊆ S); Q and U on [u]
+TYPED_TEXT = """
+cohspace A { atoms [a, b]; coherent (a, b); }
+cohspace B { atoms [a, b]; }
+pcoh P { atoms [p1, p2]; gen (1, 0); gen (0, 1); }
+pcoh Q { atoms [u]; gen (1/2); }
+pcoh R { atoms [p1, p2]; gen (1, 1/2); }
+pcoh S { atoms [p1, p2]; gen (1, 0); gen (0, 1); }
+pcoh Box { atoms [p1, p2]; gen (1, 1); }
+pcoh U { atoms [u]; gen (1); }
+module MB = free(B, web [b1, b2])
+matrix tot : S -> U = 1; 1
+"""
+
+
+@pytest.fixture(scope="module")
+def typed_ws():
+    return loads_workspace(TYPED_TEXT)
+
+
+def test_curry_reads_its_source_from_the_tensor_factors(typed_ws):
+    # slicing P ⊗ Q at u gave ½P: generators (0, 1/2) and (1/2, 0)
+    f = interpret_morphism(typed_ws, "curry(tensor(id(P), id(Q)))")
+    assert f.src == typed_ws.module_named("P")
+    assert sorted(f.src.presentation.polytope(f.src)) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("target", ["P", "R"])
+def test_curried_evaluation_is_the_identity_on_the_function_space(typed_ws, target):
+    f = interpret_morphism(typed_ws, f"curry(apply(R, {target}))")
+    assert f.verified and f.src.web == f.dst.web
+    assert sorted(f.matrix.entries) == [((a, a), 1) for a in f.src.web.atoms]
+
+
+def test_curry_of_a_source_that_is_not_a_tensor_is_a_type_error(ws):
+    with pytest.raises(InterpretError, match="curry needs a tensor source"):
+        interpret_morphism(ws, "curry(id(A -o B))")
+
+
+def test_comp_checks_a_composite_whose_middle_objects_differ(typed_ws, tmp_path, capsys):
+    # (1, 1) ∈ Box goes to 2, outside U; S ⊆ Box, so tot itself is a morphism
+    with pytest.raises(NotProved) as err:
+        interpret_morphism(typed_ws, "comp(id(Box), tot)")
+    assert err.value.verdict.ok is False
+    assert interpret_morphism(typed_ws, "comp(id(S), tot)").verified
+    p = tmp_path / "typed.llw"
+    p.write_text(TYPED_TEXT)
+    assert main(["eval", str(p), "comp(id(Box), tot)"]) == 1
+    assert "[FAIL]" in capsys.readouterr().err
+
+
+def _terms(objects, depth):
+    names = st.sampled_from(objects)
+    leaves = st.one_of(names.map("id({})".format), st.just("tot"),
+                       st.builds("apply({}, {})".format, names, names))
+    if depth == 0:
+        return leaves
+    sub = _terms(objects, depth - 1)
+    return st.one_of(
+        leaves, sub.map("curry({})".format),
+        st.builds("{}({}, {})".format,
+                  st.sampled_from(("comp", "tensor", "pair")), sub, sub),
+        # f followed by an identity or `tot`: whether f lands in its source
+        st.builds("comp({}, {})".format, sub, leaves))
+
+
+# terms of depth ≤ 2 over at most two catalog objects and `tot`, so that
+# the operands of `comp` and `pair` often share a web.  Each `tensor` and
+# `apply` multiplies the size of a source web (four `apply(S, S)` tensored
+# together have 8⁴ atoms), so a term holds at most three of them.
+TERMS = (st.lists(st.sampled_from(("A", "B", "P", "Q", "R", "S", "Box", "MB")),
+                  min_size=1, max_size=2, unique=True)
+         .flatmap(lambda objects: _terms(objects, 2))
+         .filter(lambda term: term.count("tensor") + term.count("apply") <= 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(TERMS)
+def test_every_accepted_term_re_verifies_from_scratch(typed_ws, term):
+    try:
+        f = interpret_morphism(typed_ws, term)
+    except (ValueError, NotImplementedError, IntegrityError):
+        return  # refused: ill-typed, mixed semirings, or not proved
+    assert is_morphism(LinMap(f.src, f.dst, f.matrix)).ok is True, term
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ from smodlab.exponential import bang
 from smodlab.models import (BoundExceeded, CoherenceSpace, F_embed, F_invert,
                             F_map, FinitenessSpace, ModelError,
                             coherence_dual, coherence_lolli, coherence_module,
-                            coherence_slice, coherence_space, coherence_tensor,
+                            coherence_of, coherence_space, coherence_tensor,
                             fin_dual, finiteness_module, glue_is_morphism,
                             glue_tight_closure, pcoh_bipolar_member,
                             pcoh_dual, pcoh_gamma_and_basis, pcoh_space,
                             wrel_compose, H_embed, H_map)
 from smodlab.scalars import B, I, INF, NINF, OMEGA, UNDEF
 from smodlab.linmaps import Matrix
+from smodlab.frontend.interpreter import interpret_morphism
+from smodlab.frontend.workspace import Workspace
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +171,23 @@ def test_connectives_by_rule_match_their_materialised_relations():
             T, oracle_T = coherence_tensor(A, B_), materialised_tensor(A, B_)
             assert_same_relation(T, oracle_T)
             assert_same_relation(coherence_lolli(A, B_), materialised_lolli(A, B_))
-            for atoms, other, first in ((A.atoms, B_.atoms, True),
-                                        (B_.atoms, A.atoms, False)):
-                assert_same_relation(coherence_slice(T, atoms, other[0], first, "slice"),
-                                     materialised_slice(oracle_T, atoms, other, first))
+
+
+def test_curried_source_is_the_materialised_slice_of_the_tensor():
+    # `curry` reads A from the factors of A ⊗ B; slicing the materialised
+    # tensor at one atom of the other factor is the oracle
+    spaces = all_coherence_spaces(3)
+    for A, B_ in itertools.product(spaces, repeat=2):
+        ws = Workspace(semiring=I, spaces={"A": A, "B": B_})
+        oracle_T = materialised_tensor(A, B_)
+        for term, atoms, other, first in (
+                ("curry(tensor(id(A), id(B)))", A.atoms, B_.atoms, True),
+                ("curry(tensor(id(B), id(A)))", B_.atoms, A.atoms, False)):
+            curried = coherence_of(interpret_morphism(ws, term).src)
+            oracle = materialised_slice(oracle_T, atoms, other, first)
+            assert curried.atoms == oracle.atoms
+            for a, b in itertools.product(atoms, repeat=2):
+                assert curried.coherent(a, b) == oracle.coherent(a, b), (term, a, b)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

@@ -134,3 +134,23 @@ def test_only_basedmod_models_and_linmaps_test_for_a_free_presentation():
     found = [where for where in _library_nodes(_tests_for_a_free_presentation)
              if not where.startswith(("basedmod.py:", "models.py:", "linmaps.py:"))]
     assert not found, found
+
+
+def _ratlp_imports(node) -> list:
+    """What an import statement takes from `ratlp`: the module or its names."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[-1] == "ratlp"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if (node.module or "").split(".")[-1] == "ratlp":
+        return [a.name for a in node.names]
+    return [a.name for a in node.names if a.name == "ratlp"]
+
+
+def test_the_frontend_solves_no_linear_program():
+    # a term's type is read from its factors, never found by an LP; the
+    # CLI's `dual --bound` default is the one name the frontend may take
+    found = [where for where in _library_nodes(
+                 lambda node: set(_ratlp_imports(node)) - {"VERTEX_BOUND"})
+             if where.startswith("frontend/")]
+    assert not found, found
