@@ -228,10 +228,10 @@ def _combinator(ws: Workspace, head: str, args) -> tuple[LinMap, Optional[tuple]
         if f.dst.web != g.src.web:
             raise InterpretError(
                 f"type mismatch in comp: {f.dst.web!r} vs {g.src.web!r}")
-        # two objects on one web may differ, so only a shared middle object
-        # carries the operands' proofs over to the composite
+        # two objects on one web may differ: compose keeps the operands'
+        # proofs only across a shared middle object
         h = compose(f, g)
-        return (h if f.dst == g.src else _check(h, "composite")), factors
+        return (h if h.verified else _check(h, "composite")), factors
 
     if head == "tensor":
         arity(2)

@@ -74,18 +74,20 @@ def format_matrix(mat: Matrix) -> str:
 
 
 def parse_matrix(text: str, src_web: Web, dst_web: Web, s: Semiring) -> Matrix:
-    """Cells are literals of the ambient carrier of `s`."""
-    rows = [r.strip() for r in text.split(";")]
-    if len(rows) != len(src_web):
+    """Cells are literals of the ambient carrier of `s`, each parsed once."""
+    rows, values, entries = text.split(";"), {}, []
+    if len(rows) != len(src_web.atoms):
         raise ValueError(f"expected {len(src_web)} rows, got {len(rows)}")
-    entries = {}
     for a, row in zip(src_web.atoms, rows):
         cells = row.split()
-        if len(cells) != len(dst_web):
+        if len(cells) != len(dst_web.atoms):
             raise ValueError(f"row for {a}: expected {len(dst_web)} entries")
         for b, cell in zip(dst_web.atoms, cells):
-            entries[(a, b)] = parse_scalar(cell, s.ambient)
-    return Matrix.make(src_web, dst_web, entries)
+            if cell not in values:
+                values[cell] = parse_scalar(cell, s.ambient)
+            if values[cell] != 0:
+                entries.append(((a, b), values[cell]))
+    return Matrix(src_web, dst_web, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,8 @@ def _image(f: LinMap, x: Vector):
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
-    """Matrix product (g after f); an undefined entry is an integrity error."""
+    """Matrix product (g after f); an undefined entry is an integrity error.
+    Verified when f and g are, across one middle object (not just one web)."""
     if f.dst.web != g.src.web:
         raise WebMismatch(f"middle webs differ: {f.dst.web} vs {g.src.web}")
     entries, undefined = sparse_product(f.src.semiring, f.matrix.entries,
@@ -180,7 +183,7 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
             "composition entry ({},{}) has an undefined sum".format(*undefined))
     return LinMap(f.src, g.dst,
                   Matrix.make(f.src.web, g.dst.web, entries),
-                  verified=f.verified and g.verified)
+                  verified=f.verified and g.verified and f.dst == g.src)
 
 
 # ---------------------------------------------------------------------------

@@ -660,18 +660,22 @@ def parse_scalar(text: str, s: Semiring):
     outside the carrier.
     """
     text = text.strip()
-    try:
-        if text == "inf":
-            value = INF
-        elif "/" in text:
-            num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad scalar literal {text!r}") from None
-    if value is not INF and s.ambient is not RPOS and value.denominator == 1:
-        value = value.numerator
+    rational = s.kind in _RATIONAL_KINDS  # s.ambient is RPOS, without the property
+    if text.isascii() and text.isdigit():  # the common case: a plain integer
+        value = Fraction(int(text)) if rational else int(text)
+    else:
+        try:
+            if text == "inf":
+                value = INF
+            elif "/" in text:
+                num, den = text.split("/", 1)
+                value = Fraction(int(num), int(den))
+            else:
+                value = Fraction(int(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad scalar literal {text!r}") from None
+        if value is not INF and not rational and value.denominator == 1:
+            value = value.numerator
     s.check_scalar(value)
     return value
 

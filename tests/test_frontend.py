@@ -3,21 +3,27 @@ import json
 from fractions import Fraction
 from pathlib import Path
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smodlab.basedmod import IntegrityError
+from smodlab.basedmod import IntegrityError, Web, free_module
+from smodlab.frontend import workspace as workspace_module
 from smodlab.frontend.cli import main
 from smodlab.frontend.formulas import (Atom, Bang, Dual, Lolli, One,
                                        ParseError, Plus, Tensor, Top, With,
                                        Zero, parse_formula, print_formula)
 from smodlab.frontend.interpreter import (InterpretError, NotProved,
                                           interpret_formula, interpret_morphism)
-from smodlab.frontend.workspace import (WorkspaceError, load_workspace,
-                                        loads_workspace)
-from smodlab.linmaps import LinMap, compose, is_morphism
+from smodlab.frontend.workspace import (GlueDecl, Workspace, WorkspaceError,
+                                        load_workspace, loads_workspace)
+from smodlab.linmaps import LinMap, Matrix, compose, identity, is_morphism
+from smodlab.models import (CoherenceSpace, FinitenessSpace, ModelError,
+                            ProbCohSpace, coherence_module, coherence_space,
+                            finiteness_module, pcoh_space, H_embed)
+from smodlab.scalars import INF, NINF, RPOS, SEMIRINGS, CarrierError, parse_scalar
 
 WS_TEXT = """
 semiring I
@@ -151,6 +157,362 @@ def test_workspace_pcoh_matrix_entries_may_exceed_one():
 
 
 # ---------------------------------------------------------------------------
+# the one-pass loader against the two-pass loader it replaced
+#
+# The `_parent_*` functions are that loader, kept as the oracle: it took the
+# blocks anywhere in the text, blanked them, then took the line
+# declarations by a second regex pass, and it parsed every matrix cell.
+
+
+def _parent_parse_scalar(text, s):
+    text = text.strip()
+    try:
+        if text == "inf":
+            value = INF
+        elif "/" in text:
+            num, den = text.split("/", 1)
+            value = Fraction(int(num), int(den))
+        else:
+            value = Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad scalar literal {text!r}") from None
+    if value is not INF and s.ambient is not RPOS and value.denominator == 1:
+        value = value.numerator
+    s.check_scalar(value)
+    return value
+
+
+def _parent_parse_matrix(text, src_web, dst_web, s):
+    rows = [r.strip() for r in text.split(";")]
+    if len(rows) != len(src_web):
+        raise ValueError(f"expected {len(src_web)} rows, got {len(rows)}")
+    entries = {}
+    for a, row in zip(src_web.atoms, rows):
+        cells = row.split()
+        if len(cells) != len(dst_web):
+            raise ValueError(f"row for {a}: expected {len(dst_web)} entries")
+        for b, cell in zip(dst_web.atoms, cells):
+            entries[(a, b)] = _parent_parse_scalar(cell, s.ambient)
+    return Matrix.make(src_web, dst_web, entries)
+
+
+def _parent_module_named(ws, name):
+    if name in ws.modules:
+        return ws.modules[name]
+    if name in ws.spaces:
+        sp = ws.spaces[name]
+        if isinstance(sp, CoherenceSpace):
+            return coherence_module(sp)
+        if isinstance(sp, ProbCohSpace):
+            return H_embed(sp)
+    raise WorkspaceError(f"no module or space named {name!r}")
+
+
+def _parent_parse_atoms(text, what):
+    m = re.fullmatch(r"\[\s*([^\]]*)\]", text.strip())
+    if not m:
+        raise WorkspaceError(f"bad {what} list {text!r}")
+    body = m.group(1).strip()
+    if not body:
+        return ()
+    return tuple(a.strip() for a in body.split(","))
+
+
+def _parent_parse_tuple(text):
+    m = re.fullmatch(r"\(\s*([^)]*)\)", text.strip())
+    if not m:
+        raise WorkspaceError(f"bad tuple {text!r}")
+    parts = [p.strip() for p in m.group(1).split(",")] if m.group(1).strip() else []
+    return tuple(parts)
+
+
+def _parent_parse_scalars(text, s):
+    try:
+        return tuple(_parent_parse_scalar(x, s) for x in _parent_parse_tuple(text))
+    except (ValueError, CarrierError) as exc:
+        raise WorkspaceError(f"in {text.strip()!r}: {exc}") from None
+
+
+_PARENT_BLOCK = re.compile(
+    r"(?P<kind>cohspace|pcoh|glue)\s+(?P<name>\w+)\s*\{(?P<body>[^}]*)\}",
+    re.DOTALL)
+_PARENT_LINE = re.compile(
+    r"(?P<kind>semiring|module|matrix|formula)\s+(?P<rest>[^\n]*)")
+
+
+def _parent_loads_workspace(text):
+    text = re.sub(r"#[^\n]*", "", text)
+    ws = Workspace(semiring=SEMIRINGS["I"])
+    consumed = []
+
+    for m in _PARENT_BLOCK.finditer(text):
+        consumed.append((m.start(), m.end()))
+        kind, name, body = m.group("kind"), m.group("name"), m.group("body")
+        ws._claim(name)
+        items = [s.strip() for s in body.split(";") if s.strip()]
+        fields = []
+        for item in items:
+            mm = re.fullmatch(r"(\w+)\s*(.*)", item, re.DOTALL)
+            if not mm:
+                raise WorkspaceError(f"bad item {item!r} in {name}")
+            fields.append((mm.group(1), mm.group(2).strip()))
+        try:
+            if kind == "cohspace":
+                atoms = ()
+                pairs = []
+                for key, value in fields:
+                    if key == "atoms":
+                        atoms = _parent_parse_atoms(value, "atoms")
+                    elif key == "coherent":
+                        pairs.append(_parent_parse_tuple(value))
+                    else:
+                        raise WorkspaceError(f"unknown field {key!r} in {name}")
+                ws.spaces[name] = coherence_space(name, atoms, pairs)
+            elif kind == "pcoh":
+                atoms = ()
+                gens = []
+                for key, value in fields:
+                    if key == "atoms":
+                        atoms = _parent_parse_atoms(value, "atoms")
+                    elif key == "gen":
+                        gens.append(_parent_parse_scalars(value, RPOS))
+                    else:
+                        raise WorkspaceError(f"unknown field {key!r} in {name}")
+                ws.spaces[name] = pcoh_space(name, atoms, gens)
+            elif kind == "glue":
+                web_atoms = ()
+                vectors = []
+                for key, value in fields:
+                    if key == "web":
+                        web_atoms = _parent_parse_atoms(value, "web")
+                    elif key == "u":
+                        vectors.append(_parent_parse_scalars(value, NINF))
+                    else:
+                        raise WorkspaceError(f"unknown field {key!r} in {name}")
+                ws.glues[name] = GlueDecl(name, Web(web_atoms), tuple(vectors))
+        except ModelError as exc:
+            raise WorkspaceError(f"in {kind} {name}: {exc}") from exc
+
+    stripped = list(text)
+    for a, b in consumed:
+        for i in range(a, b):
+            stripped[i] = " "
+    rest_text = "".join(stripped)
+
+    pending_matrices = []
+    for m in _PARENT_LINE.finditer(rest_text):
+        kind, rest = m.group("kind"), m.group("rest").strip()
+        if kind == "semiring":
+            if rest not in SEMIRINGS:
+                raise WorkspaceError(
+                    f"unknown semiring {rest!r}; have {sorted(SEMIRINGS)}")
+            ws.semiring = SEMIRINGS[rest]
+        elif kind == "module":
+            mm = re.fullmatch(r"(\w+)\s*=\s*(\w+)\s*\((.*)\)", rest)
+            if not mm:
+                raise WorkspaceError(f"bad module declaration {rest!r}")
+            name, ctor, args = mm.group(1), mm.group(2), mm.group(3).strip()
+            ws._claim(name)
+            if ctor == "free":
+                am = re.fullmatch(r"(\w+)\s*,\s*web\s*(\[[^\]]*\])", args)
+                if not am:
+                    raise WorkspaceError(f"bad free(...) arguments {args!r}")
+                sid, atoms = am.group(1), _parent_parse_atoms(am.group(2), "web")
+                if sid not in SEMIRINGS:
+                    raise WorkspaceError(f"unknown semiring {sid!r}")
+                ws.modules[name] = free_module(SEMIRINGS[sid], Web(atoms), name)
+            elif ctor == "coherence":
+                sp = ws.spaces.get(args)
+                if not isinstance(sp, CoherenceSpace):
+                    raise WorkspaceError(f"{args!r} is not a cohspace")
+                ws.modules[name] = coherence_module(sp)
+            elif ctor == "pcoh":
+                sp = ws.spaces.get(args)
+                if not isinstance(sp, ProbCohSpace):
+                    raise WorkspaceError(f"{args!r} is not a pcoh space")
+                ws.modules[name] = H_embed(sp)
+            elif ctor == "finiteness":
+                am = re.fullmatch(r"web\s*(\[[^\]]*\])", args)
+                if not am:
+                    raise WorkspaceError(f"bad finiteness(...) arguments {args!r}")
+                atoms = _parent_parse_atoms(am.group(1), "web")
+                ws.modules[name] = finiteness_module(
+                    FinitenessSpace(name, atoms))
+            else:
+                raise WorkspaceError(f"unknown module constructor {ctor!r}")
+        elif kind == "matrix":
+            mm = re.fullmatch(r"(\w+)\s*:\s*(\w+)\s*->\s*(\w+)\s*=\s*(.*)", rest)
+            if not mm:
+                raise WorkspaceError(f"bad matrix declaration {rest!r}")
+            name, src, dst, body = (mm.group(1), mm.group(2), mm.group(3),
+                                    mm.group(4).strip())
+            ws._claim(name)
+            pending_matrices.append((name, src, dst, body))
+        elif kind == "formula":
+            mm = re.fullmatch(r"(\w+)\s*=\s*(.*)", rest)
+            if not mm:
+                raise WorkspaceError(f"bad formula declaration {rest!r}")
+            name, body = mm.group(1), mm.group(2).strip()
+            ws._claim(name)
+            ws.formulas[name] = parse_formula(body)
+
+    for name, src, dst, body in pending_matrices:
+        src_m = _parent_module_named(ws, src)
+        dst_m = _parent_module_named(ws, dst)
+        try:
+            mat = _parent_parse_matrix(body, src_m.web, dst_m.web, src_m.semiring)
+        except (ValueError, CarrierError) as exc:
+            raise WorkspaceError(f"matrix {name}: {exc}") from exc
+        ws.matrices[name] = (mat, src, dst)
+    return ws
+
+
+def _typed(v):
+    return type(v).__name__, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/+-_ inf²٣", max_size=5), st.sampled_from(sorted(SEMIRINGS)))
+def test_parse_scalar_matches_the_parent_parser(text, name):
+    # "²" and "٣" are digits to str.isdigit, but int() refuses the first
+    def outcome(parse):
+        try:
+            return _typed(parse(text, SEMIRINGS[name]))
+        except (ValueError, CarrierError) as exc:
+            return type(exc).__name__, str(exc)
+    assert outcome(parse_scalar) == outcome(_parent_parse_scalar)
+
+
+def _outcome(load, text):
+    """A load's tables in declaration order, each scalar with its type, or
+    the type and message of the error it raised."""
+    try:
+        ws = load(text)
+    except Exception as exc:  # the oracle may raise any library error
+        return type(exc).__name__, str(exc)
+    return (ws.semiring, list(ws.spaces.items()), list(ws.modules.items()),
+            list(ws.formulas.items()),
+            [(n, g.web, [tuple(map(_typed, u)) for u in g.vectors])
+             for n, g in ws.glues.items()],
+            [(n, m.src_web, m.dst_web, [(k, _typed(v)) for k, v in m.entries], s, d)
+             for n, (m, s, d) in ws.matrices.items()])
+
+
+@st.composite
+def _workspace_texts(draw):
+    """A well-formed workspace: blocks (some over several lines), modules,
+    matrices and formulas in any order, with comments and blank lines.
+    Some cells lie outside their carrier and some pcoh atoms are dead, so
+    errors are drawn too."""
+    atoms = st.lists(st.sampled_from(("x", "y", "z")), min_size=1, max_size=3,
+                     unique=True)
+    names = iter(f"W{k}" for k in range(100))
+    statements, objects = [], {}  # objects: name -> web, for matrices
+
+    def block(kind, name, items):
+        if draw(st.booleans()):
+            return f"{kind} {name} {{ {'; '.join(items)}; }}"
+        lines = "".join(f"  {item};  # {item} }}\n" for item in items)
+        return f"{kind} {name} {{\n{lines}}}"
+
+    for _ in range(draw(st.integers(0, 2))):
+        name, web = next(names), draw(atoms)
+        pairs = draw(st.lists(st.sampled_from([(a, b) for a in web for b in web
+                                               if a < b] or [None]), max_size=2))
+        items = [f"atoms [{', '.join(web)}]"] + [
+            f"coherent ({a}, {b})" for a, b in filter(None, pairs)]
+        statements.append(block("cohspace", name, items))
+        objects[name] = web
+        if draw(st.booleans()):
+            statements.append(f"module {next(names)} = coherence({name})")
+    for _ in range(draw(st.integers(0, 1))):
+        name, web = next(names), draw(atoms.map(lambda w: w[:2]))
+        gens = draw(st.lists(st.tuples(*[st.sampled_from(("0", "1", "1/2", "2/3"))
+                                         for _ in web]), min_size=1, max_size=2))
+        items = [f"atoms [{', '.join(web)}]"] + [f"gen ({', '.join(g)})" for g in gens]
+        statements.append(block("pcoh", name, items))
+        objects[name] = web
+        if draw(st.booleans()):
+            statements.append(f"module {next(names)} = pcoh({name})")
+    for _ in range(draw(st.integers(0, 2))):
+        web = draw(atoms)
+        us = draw(st.lists(st.tuples(*[st.sampled_from(("0", "1", "2", "inf"))
+                                       for _ in web]), max_size=2))
+        items = [f"web [{', '.join(web)}]"] + [f"u ({', '.join(u)})" for u in us]
+        statements.append(block("glue", next(names), items))
+    for _ in range(draw(st.integers(0, 3))):
+        name, web = next(names), draw(atoms)
+        if draw(st.booleans()):
+            statements.append(f"module {name} = finiteness(web [{', '.join(web)}])")
+        else:
+            s = draw(st.sampled_from(("I", "B", "F", "N", "Rpos")))
+            statements.append(f"module {name} = free({s}, web [{', '.join(web)}])")
+        objects[name] = web
+    cell = st.sampled_from(("0",) * 6 + ("1",) * 6 + ("2", "1/2", "inf"))
+    for _ in range(draw(st.integers(0, 3)) if objects else 0):
+        src, dst = draw(st.sampled_from(sorted(objects))), draw(st.sampled_from(sorted(objects)))
+        rows = "; ".join(" ".join(draw(cell) for _ in objects[dst]) for _ in objects[src])
+        statements.append(f"matrix {next(names)} : {src} -> {dst} = {rows}")
+    for _ in range(draw(st.integers(0, 2))):
+        ast = _random_ast(random.Random(draw(st.integers(0, 999))), 3)
+        statements.append(f"formula {next(names)} = {print_formula(ast)}")
+    if draw(st.booleans()):
+        statements.append(f"semiring {draw(st.sampled_from(sorted(SEMIRINGS)))}")
+    statements = draw(st.permutations(statements))
+    return "".join(draw(st.sampled_from(("", "\n", "# note\n"))) + stmt
+                   + draw(st.sampled_from(("", "  # note"))) + "\n"
+                   for stmt in statements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_workspace_texts())
+def test_loader_matches_the_two_pass_loader(text):
+    assert _outcome(loads_workspace, text) == _outcome(_parent_loads_workspace, text)
+
+
+def test_shipped_workspaces_load_as_before():
+    demo = Path(__file__).resolve().parent.parent / "demo.llw"
+    for text in (demo.read_text(encoding="utf-8"), WS_TEXT, TYPED_TEXT, PCOH_TEXT):
+        assert _outcome(loads_workspace, text) == _outcome(_parent_loads_workspace, text)
+
+
+# each of these the two-pass loader took without a word
+@pytest.mark.parametrize("text,line", [
+    ("semiring I\nthis is junk\n", 2),                             # unknown
+    ("module N = free(I, web [a])\nmodul M = free(I, web [b])\n", 2),  # typo
+    ("\nmypcoh P { atoms [a]; gen (1); }\n", 2),                   # glued keyword
+    ("submodule M = free(I, web [a])\n", 1),                       # glued keyword
+    ("semiring I\ncohspace A { atoms [a];\n  coherent (a, a);\n", 2),  # unclosed
+    ("cohspace A {\n  atoms [a]; } module M = coherence(A)\n", 2),  # text after
+], ids=["unknown", "typo", "glued-block", "glued-line", "unclosed", "text-after"])
+def test_loader_refuses_what_is_not_a_statement(text, line, tmp_path, capsys):
+    _parent_loads_workspace(text)
+    with pytest.raises(WorkspaceError, match=f"^line {line}: "):
+        loads_workspace(text)
+    p = tmp_path / "bad.llw"
+    p.write_text(text)
+    assert main(["check-morphism", str(p), "f"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+def test_each_space_has_one_module_per_load(monkeypatch):
+    ws = loads_workspace(WS_TEXT)
+    assert ws.module_named("A") is ws.module_named("A")
+    assert ws.modules["M"] is ws.module_named("A")
+    calls = []
+
+    def counting(P):
+        calls.append(P.name)
+        return H_embed(P)
+
+    monkeypatch.setattr(workspace_module, "H_embed", counting)
+    ws = loads_workspace(PCOH_TEXT + "matrix f : P -> P = 1 0; 0 1\n"
+                                     "matrix g : P -> M = 0 0; 0 1\n")
+    assert calls == ["P"]
+    assert ws.module_named("P") is ws.modules["M"]
+
+
+# ---------------------------------------------------------------------------
 # interpreter
 
 
@@ -260,6 +622,12 @@ def test_comp_checks_a_composite_whose_middle_objects_differ(typed_ws, tmp_path,
     p.write_text(TYPED_TEXT)
     assert main(["eval", str(p), "comp(id(Box), tot)"]) == 1
     assert "[FAIL]" in capsys.readouterr().err
+
+
+def test_compose_keeps_proofs_only_across_one_middle_object(typed_ws):
+    tot = interpret_morphism(typed_ws, "tot")
+    assert compose(identity(typed_ws.module_named("Box")), tot).verified is False
+    assert compose(identity(typed_ws.module_named("S")), tot).verified is True
 
 
 def _terms(objects, depth):

@@ -154,3 +154,33 @@ def test_the_frontend_solves_no_linear_program():
                  lambda node: set(_ratlp_imports(node)) - {"VERTEX_BOUND"})
              if where.startswith("frontend/")]
     assert not found, found
+
+
+_RE_FUNCTIONS = {"fullmatch", "match", "search", "sub", "subn", "finditer",
+                 "findall", "split"}
+
+
+def _compiles_a_literal_pattern(node) -> bool:
+    """`re.fullmatch("…", …)` and the like: the pattern is looked up in
+    re's cache on every call instead of being compiled once."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _RE_FUNCTIONS
+            and getattr(node.func.value, "id", None) == "re"
+            and bool(node.args) and isinstance(node.args[0], (ast.Constant, ast.JoinedStr))
+            and isinstance(getattr(node.args[0], "value", ""), str))
+
+
+def test_library_patterns_are_compiled_once_at_module_level():
+    found = _library_nodes(_compiles_a_literal_pattern)
+    assert not found, found
+
+
+def test_the_pattern_rule_catches_the_two_pass_loader():
+    # tests/test_frontend.py keeps the loader this rule retired as an oracle
+    path = Path(__file__).resolve().parent / "test_frontend.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    oracle = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_parent_")]
+    found = [node.lineno for fn in oracle for node in ast.walk(fn)
+             if _compiles_a_literal_pattern(node)]
+    assert len(found) >= 5, found
